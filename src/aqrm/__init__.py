@@ -24,13 +24,12 @@ from .exactpoly import (
     BivarPoly,
     UniPoly,
     isolate_positive_roots,
-    poly_arith,
     poly_div_x,
     refine_isolated,
     to_fraction,
 )
 from .gfunction import ExceptionalRoot, GValue, KSeries, find_exceptional, g_minus, g_plus, k_series
-from .heun import HeunOp, bargmann_system_residual, exponents, heun_direct, heun_from_K, mu
+from .heun import HeunOp, bargmann_system_residual, exponents, heun_direct, heun_from_K
 from .sl2rep import (
     KParams,
     RepOperator,

@@ -193,76 +193,29 @@ def _coerce(value) -> BivarPoly:
     raise TypeError(f"cannot treat {value!r} as a polynomial")
 
 
-def poly_arith(a: BivarPoly, b: BivarPoly, op: str) -> BivarPoly:
-    """Exact ring operation selected by name: add, sub or mul."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
 # -- division along x --------------------------------------------------------
-
-def _dpoly_sub_scaled(a: dict[int, Fraction], b: dict[int, Fraction],
-                      c: dict[int, Fraction]) -> dict[int, Fraction]:
-    """a - b*c for maps j -> coefficient (polynomials in d)."""
-    out = dict(a)
-    for j1, c1 in b.items():
-        for j2, c2 in c.items():
-            k = j1 + j2
-            s = out.get(k, Fraction(0)) - c1 * c2
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-    return out
-
-
-def _dpoly_divide(num: dict[int, Fraction],
-                  den: dict[int, Fraction]) -> dict[int, Fraction]:
-    """Exact division of polynomials in d; raises if it does not divide."""
-    if not den:
-        raise ZeroDivisionError("division by zero polynomial")
-    if not num:
-        return {}
-    dd = max(den)
-    lead = den[dd]
-    rem = dict(num)
-    quot: dict[int, Fraction] = {}
-    while rem:
-        dn = max(rem)
-        if dn < dd:
-            raise ValueError(
-                "inexact coefficient division: denominator's leading "
-                "x-coefficient must divide exactly in d")
-        c = rem[dn] / lead
-        quot[dn - dd] = c
-        rem = _dpoly_sub_scaled(rem, {dn - dd: c}, den)
-    return quot
-
 
 def poly_div_x(num: BivarPoly, den: BivarPoly) -> tuple[BivarPoly, BivarPoly]:
     """Divide num by den treating x as the main variable.
 
     Returns (quotient, remainder) with num = quotient*den + remainder and
-    deg_x(remainder) < deg_x(den), all exactly. Each elimination step must
-    divide exactly in the d-coefficient ring (always true when den's leading
-    x-coefficient is free of d, which covers every use in this package);
-    otherwise a ValueError is raised.
+    deg_x(remainder) < deg_x(den), all exactly. den's leading x-coefficient
+    must be a nonzero constant (true of every P_N, whose leading coefficient
+    is N!); a leading coefficient that depends on d raises ValueError.
     """
     if den.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     dn = den.deg_x()
     lead = den.leading_x_coeff()
+    if set(lead) != {0}:
+        raise ValueError("leading x-coefficient of the divisor depends on d")
+    lead = lead[0]
     quot = BivarPoly.zero()
     rem = num
     while not rem.is_zero() and rem.deg_x() >= dn:
         rdeg = rem.deg_x()
-        factor_d = _dpoly_divide(rem.coeff_in_d(rdeg), lead)
-        factor = BivarPoly({(rdeg - dn, j): c for j, c in factor_d.items()})
+        factor = BivarPoly({(rdeg - dn, j): c / lead
+                            for j, c in rem.coeff_in_d(rdeg).items()})
         quot = quot + factor
         rem = rem - factor * den
     return quot, rem

@@ -21,11 +21,6 @@ from .exactpoly import UniPoly, to_fraction
 from .sl2rep import mu_value, reduction_kparams
 
 
-def mu(lambda_, g2, d) -> Fraction:
-    """Accessory constant (lambda+g^2)^2 - 4g^2(lambda+g^2) - d."""
-    return mu_value(lambda_, g2, d)
-
-
 @dataclass(frozen=True)
 class HeunOp:
     """Second-order operator fixed by (A, B, C, D) and the drift -4g^2."""

@@ -1,11 +1,15 @@
-"""Windowed exact matrices for the sl2 principal-series actions.
+"""Exact shift operators for the sl2 principal-series actions.
 
-The infinite weight modules V_{j,a} (j = 1 spherical, j = 2 non-spherical)
-are truncated to a finite index window; every operator tracks how many
-generator factors built it, because a product of q generators is only exact on
-columns at distance >= q from the window edge. All identities downstream are
-asserted on those interior columns, where truncation is invisible and the
-arithmetic is exact.
+The weight modules V_{j,a} (j = 1 spherical, j = 2 non-spherical) have the
+basis e_n, n running over all integers. Every operator here is a finite sum
+sum_s c_s(n) T^s with T^s e_n = e_{n+s}, so it sends e_n to
+sum_s c_s(n) e_{n+s}, and each c_s is an exact polynomial in the weight n.
+The generators are single shifts with coefficients affine in n, and sums and
+products stay in this form. The commutation relations, the Casimir scalar and
+the mixed commutator are therefore checked as equalities of coefficient
+polynomials: they hold for every weight, not only on a window. The window in
+RepParams only chooses which matrix entries the matrix, entry and column
+views show.
 
 The module also hosts the second-order element K(alpha, beta, gamma; C) =
 [H/2 - E + alpha](F + beta) + gamma[H - 1/2] + C whose eigenvalue problem,
@@ -17,15 +21,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
-from .exactpoly import to_fraction
+from .exactpoly import UniPoly, to_fraction
 
 GENERATORS = ("H", "E", "F")
 
 
 @dataclass(frozen=True)
 class RepParams:
-    """Principal-series label (j, a) plus the truncation window on weights."""
+    """Principal-series label (j, a) plus the weight window the matrix views show."""
 
     j: int
     a: Fraction
@@ -44,133 +49,101 @@ class RepParams:
         return self.n_max - self.n_min + 1
 
 
+def _shifted(p: UniPoly, s: int) -> UniPoly:
+    """The polynomial n -> p(n + s)."""
+    out, step = UniPoly([]), UniPoly([s, 1])
+    for c in reversed(p.coeffs):
+        out = out * step + UniPoly([c])
+    return out
+
+
+def _add_term(terms: dict[int, UniPoly], s: int, p: UniPoly) -> None:
+    terms[s] = terms[s] + p if s in terms else p
+
+
 @dataclass(frozen=True)
 class RepOperator:
-    """Dense exact matrix over the window basis, with truncation bookkeeping.
-
-    depth = number of generator factors in the deepest product that formed
-    this operator; columns with basis index in
-    [n_min + depth, n_max - depth] are exact.
-    """
+    """The operator e_n -> sum_s terms[s](n) e_{n+s}, exact for every weight n."""
 
     params: RepParams
-    depth: int
-    matrix: tuple[tuple[Fraction, ...], ...]
+    terms: dict[int, UniPoly]
 
-    def _require_same_window(self, other: "RepOperator"):
-        if (self.params.n_min, self.params.n_max) != (other.params.n_min,
-                                                      other.params.n_max):
-            raise ValueError("operators live on different windows")
+    def __post_init__(self):
+        object.__setattr__(self, "terms", {s: p for s, p in self.terms.items()
+                                           if not p.is_zero()})
 
     def __add__(self, other: "RepOperator") -> "RepOperator":
-        self._require_same_window(other)
-        m = tuple(tuple(a + b for a, b in zip(ra, rb))
-                  for ra, rb in zip(self.matrix, other.matrix))
-        return RepOperator(self.params, max(self.depth, other.depth), m)
+        terms = dict(self.terms)
+        for s, p in other.terms.items():
+            _add_term(terms, s, p)
+        return RepOperator(self.params, terms)
 
     def __sub__(self, other: "RepOperator") -> "RepOperator":
         return self + other.scale(-1)
 
     def __matmul__(self, other: "RepOperator") -> "RepOperator":
-        self._require_same_window(other)
-        n = self.params.width
-        rows = []
-        for i in range(n):
-            row = [Fraction(0)] * n
-            for k in range(n):
-                c = self.matrix[i][k]
-                if c:
-                    other_row = other.matrix[k]
-                    for j in range(n):
-                        if other_row[j]:
-                            row[j] += c * other_row[j]
-            rows.append(tuple(row))
-        return RepOperator(self.params, self.depth + other.depth, tuple(rows))
+        """Composition: (p T^s)(q T^t) = p(n+t) q(n) T^(s+t)."""
+        terms: dict[int, UniPoly] = {}
+        for t, q in other.terms.items():
+            for s, p in self.terms.items():
+                _add_term(terms, s + t, _shifted(p, t) * q)
+        return RepOperator(self.params, terms)
 
     def scale(self, c) -> "RepOperator":
         c = to_fraction(c)
-        return RepOperator(self.params, self.depth,
-                           tuple(tuple(c * v for v in row)
-                                 for row in self.matrix))
+        return RepOperator(self.params,
+                           {s: p * c for s, p in self.terms.items()})
 
     def entry(self, n_row: int, n_col: int) -> Fraction:
-        """Matrix entry addressed by weight indices rather than offsets."""
-        return self.matrix[n_row - self.params.n_min][n_col - self.params.n_min]
-
-    def interior_range(self, depth: int | None = None) -> tuple[int, int]:
-        q = self.depth if depth is None else depth
-        return (self.params.n_min + q, self.params.n_max - q)
-
-    def interior_width(self, depth: int | None = None) -> int:
-        lo, hi = self.interior_range(depth)
-        return hi - lo + 1
+        """Matrix entry addressed by weight indices."""
+        p = self.terms.get(n_row - n_col)
+        return Fraction(0) if p is None else p(n_col)
 
     def column(self, n: int) -> list[Fraction]:
-        c = n - self.params.n_min
-        return [row[c] for row in self.matrix]
+        """Image of e_n, restricted to the window."""
+        p = self.params
+        return [self.entry(n_row, n) for n_row in range(p.n_min, p.n_max + 1)]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "j": self.params.j,
-            "a": str(self.params.a),
-            "n_min": self.params.n_min,
-            "n_max": self.params.n_max,
-            "depth": self.depth,
-            "matrix": [[str(v) for v in row] for row in self.matrix],
-        }
+    @property
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The window block, rows and columns in increasing weight."""
+        w = range(self.params.n_min, self.params.n_max + 1)
+        return tuple(tuple(self.entry(r, c) for c in w) for r in w)
 
 
 def identity_op(params: RepParams, c=1) -> RepOperator:
-    c = to_fraction(c)
-    n = params.width
-    m = tuple(tuple(c if i == k else Fraction(0) for k in range(n))
-              for i in range(n))
-    return RepOperator(params, 0, m)
-
-
-def _action_coeff(j: int, a: Fraction, gen: str, n: int) -> tuple[int, Fraction]:
-    """(index shift, coefficient) of a generator acting on the weight vector n."""
-    if gen == "H":
-        return 0, Fraction(2 * n) if j == 1 else Fraction(2 * n + 1)
-    if gen == "E":
-        return 1, n + a / 2 if j == 1 else n + (a + 1) / 2
-    if gen == "F":
-        return -1, -n + a / 2 if j == 1 else -n + (a - 1) / 2
-    raise ValueError(f"unknown generator {gen!r}")
+    return RepOperator(params, {0: UniPoly([c])})
 
 
 def rep_generator(params: RepParams, gen: str) -> RepOperator:
-    """Exact windowed matrix of one generator; images past the edge truncate."""
-    n = params.width
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for col in range(n):
-        shift, coeff = _action_coeff(params.j, params.a, gen,
-                                     params.n_min + col)
-        target = col + shift
-        if 0 <= target < n:
-            rows[target][col] = coeff
-    return RepOperator(params, 1, tuple(tuple(r) for r in rows))
+    """One generator as a single shift with a coefficient affine in n.
+
+    H e_n = (2n + o) e_n, E e_n = (n + (a+o)/2) e_{n+1} and
+    F e_n = (-n + (a-o)/2) e_{n-1}, with o = 0 for j = 1 and o = 1 for j = 2.
+    """
+    o, a = params.j - 1, params.a
+    actions = {"H": (0, [o, 2]), "E": (1, [(a + o) / 2, 1]),
+               "F": (-1, [(a - o) / 2, -1])}
+    if gen not in actions:
+        raise ValueError(f"unknown generator {gen!r}")
+    shift, coeffs = actions[gen]
+    return RepOperator(params, {shift: UniPoly(coeffs)})
 
 
-def max_interior_discrepancy(lhs: RepOperator, rhs: RepOperator,
-                             depth: int | None = None) -> dict:
-    """Compare two operators on the interior their depths guarantee exact."""
-    lhs._require_same_window(rhs)
-    q = max(lhs.depth, rhs.depth) if depth is None else depth
-    lo, hi = lhs.interior_range(q)
-    if lo > hi:
-        raise ValueError("window too small: empty interior at this depth")
-    mismatches = 0
-    worst = Fraction(0)
-    for n_col in range(lo, hi + 1):
-        for n_row in range(lo, hi + 1):
-            delta = lhs.entry(n_row, n_col) - rhs.entry(n_row, n_col)
-            if delta:
-                mismatches += 1
-                if abs(delta) > abs(worst):
-                    worst = delta
-    return {"interior": (lo, hi), "mismatches": mismatches,
-            "max_discrepancy": worst, "ok": mismatches == 0}
+def _report(deltas) -> dict:
+    deltas = [v for v in deltas if v]
+    return {"mismatches": len(deltas),
+            "max_discrepancy": max(deltas, key=abs, default=Fraction(0)),
+            "ok": not deltas}
+
+
+def compare(lhs: RepOperator, rhs: RepOperator) -> dict:
+    """Coefficientwise comparison, valid for every weight.
+
+    mismatches counts the nonzero coefficients of lhs - rhs over all shifts
+    and powers of n; max_discrepancy is the largest of them in absolute value.
+    """
+    return _report(c for p in (lhs - rhs).terms.values() for c in p.coeffs)
 
 
 # -- the second-order element K ------------------------------------------------
@@ -195,13 +168,8 @@ class KParams:
 
 
 def assemble_K(params: RepParams, kp: KParams) -> RepOperator:
-    """Matrix of [H/2 - E + alpha](F + beta) + gamma[H - 1/2] + C."""
-    probe = identity_op(params)
-    if probe.interior_width(2) < 3:
-        raise ValueError("window too small: interior width below 3 at depth 2")
-    H = rep_generator(params, "H")
-    E = rep_generator(params, "E")
-    F = rep_generator(params, "F")
+    """The operator [H/2 - E + alpha](F + beta) + gamma[H - 1/2] + C."""
+    H, E, F = (rep_generator(params, gen) for gen in GENERATORS)
     left = H.scale(Fraction(1, 2)) - E + identity_op(params, kp.alpha)
     right = F + identity_op(params, kp.beta)
     tail = H.scale(kp.gamma) + identity_op(params, kp.C - kp.gamma / 2)
@@ -246,31 +214,26 @@ def reduction_kparams(which: int, lambda_, g2, d, eps) -> tuple[KParams, Fractio
 # -- verification reports -------------------------------------------------------
 
 def commutation_relations_check(params: RepParams) -> dict:
-    """[H,E] = 2E, [H,F] = -2F, [E,F] = H on the depth-2 interior."""
-    H = rep_generator(params, "H")
-    E = rep_generator(params, "E")
-    F = rep_generator(params, "F")
+    """[H,E] = 2E, [H,F] = -2F, [E,F] = H as coefficient polynomials."""
+    H, E, F = (rep_generator(params, gen) for gen in GENERATORS)
     checks = {
-        "HE": max_interior_discrepancy(H @ E - E @ H, E.scale(2), depth=2),
-        "HF": max_interior_discrepancy(H @ F - F @ H, F.scale(-2), depth=2),
-        "EF": max_interior_discrepancy(E @ F - F @ E, H, depth=2),
+        "HE": compare(H @ E - E @ H, E.scale(2)),
+        "HF": compare(H @ F - F @ H, F.scale(-2)),
+        "EF": compare(E @ F - F @ E, H),
     }
     return {"checks": checks, "ok": all(c["ok"] for c in checks.values())}
 
 
 def casimir(params: RepParams) -> RepOperator:
-    """Omega = H^2 + 2EF + 2FE on the window (depth 2)."""
-    H = rep_generator(params, "H")
-    E = rep_generator(params, "E")
-    F = rep_generator(params, "F")
+    """Omega = H^2 + 2EF + 2FE."""
+    H, E, F = (rep_generator(params, gen) for gen in GENERATORS)
     return H @ H + (E @ F).scale(2) + (F @ E).scale(2)
 
 
 def casimir_scalar_check(params: RepParams) -> dict:
-    """Omega acts by the scalar a(a-2) on the depth-2 interior."""
+    """Omega acts by the scalar a(a-2) on every weight."""
     scalar = params.a * (params.a - 2)
-    report = max_interior_discrepancy(casimir(params),
-                                      identity_op(params, scalar))
+    report = compare(casimir(params), identity_op(params, scalar))
     report["scalar"] = scalar
     return report
 
@@ -280,41 +243,32 @@ def commutator_check(params: RepParams, lambda_, g2, d, eps) -> dict:
 
     [K, Kt] = (eps+3/2)(H+F)(F+4g^2) + (eps-1/2)(8g^2 E + HF)
               - 2(eps+1/2)(lambda+g^2-1/2) F
-    holds on the depth-4 interior for any (j, a) window, with K and Ktilde
+    holds as coefficient polynomials for any label (j, a), with K and Ktilde
     assembled at the same (lambda, g^2, d, eps).
     """
     lam, g2 = to_fraction(lambda_), to_fraction(g2)
     d, eps = to_fraction(d), to_fraction(eps)
-    probe = identity_op(params)
-    if probe.interior_width(4) < 5:
-        raise ValueError("window too small: need interior width >= 5 at depth 4")
     kp1, _ = reduction_kparams(1, lam, g2, d, eps)
     kp2, _ = reduction_kparams(2, lam, g2, d, eps)
     K = assemble_K(params, kp1)
     Kt = assemble_K(params, kp2)
     lhs = K @ Kt - Kt @ K
-    H = rep_generator(params, "H")
-    E = rep_generator(params, "E")
-    F = rep_generator(params, "F")
+    H, E, F = (rep_generator(params, gen) for gen in GENERATORS)
     t1 = ((H + F) @ (F + identity_op(params, 4 * g2))).scale(eps + Fraction(3, 2))
     t2 = (E.scale(8 * g2) + H @ F).scale(eps - Fraction(1, 2))
     t3 = F.scale(2 * (eps + Fraction(1, 2)) * (lam + g2 - Fraction(1, 2)))
-    rhs = t1 + t2 - t3
-    report = max_interior_discrepancy(lhs, rhs, depth=4)
+    report = compare(lhs, t1 + t2 - t3)
     report["params"] = {"lambda": str(lam), "g2": str(g2), "d": str(d),
                         "eps": str(eps), "j": params.j, "a": str(params.a)}
     return report
 
 
 def _closure_ok(params: RepParams, block: range) -> bool:
-    """True when the span of the block indices is stable under H, E and F."""
-    for gen in GENERATORS:
-        op = rep_generator(params, gen)
-        for n in block:
-            for n_row in range(params.n_min + 1, params.n_max):
-                if n_row not in block and op.entry(n_row, n):
-                    return False
-    return True
+    """True when the span of the block weights is stable under H, E and F."""
+    return all(n + s in block or not p(n)
+               for gen in GENERATORS
+               for s, p in rep_generator(params, gen).terms.items()
+               for n in block)
 
 
 def invariant_subspace_check(j: int, m: int) -> dict:
@@ -349,8 +303,11 @@ def intertwiner_check(a, window: tuple[int, int]) -> dict:
     """Diagonal equivalence between the spherical actions at a and 2 - a.
 
     A = diag(c_n) with c_n = prod_{k=1..|n|} (k - a/2)/(k - 1 + a/2) satisfies
-    A pi_a(X) = pi_{2-a}(X) A for every generator, exactly, on the depth-1
-    interior. Requires a not an even integer so no factor degenerates.
+    A pi_a(X) = pi_{2-a}(X) A for every generator X. A is not polynomial in
+    n, so for the shift s of X the check compares
+    c_{n+s} x_a(n) = x_{2-a}(n) c_n entrywise, for n and n + s strictly
+    inside the window. Requires a not an even integer so no factor
+    degenerates.
     """
     a = to_fraction(a)
     if a.denominator == 1 and a.numerator % 2 == 0:
@@ -358,23 +315,17 @@ def intertwiner_check(a, window: tuple[int, int]) -> dict:
     n_min, n_max = window
     pa = RepParams(1, a, n_min, n_max)
     pb = RepParams(1, 2 - a, n_min, n_max)
-
-    def c(n: int) -> Fraction:
-        val = Fraction(1)
-        for k in range(1, abs(n) + 1):
-            val *= (k - a / 2) / (k - 1 + a / 2)
-        return val
-
-    diag = tuple(tuple(c(n_min + i) if i == k else Fraction(0)
-                       for k in range(pa.width)) for i in range(pa.width))
-    A = RepOperator(pa, 0, diag)
+    inner = range(n_min + 1, n_max)
+    c = {n: prod((k - a / 2) / (k - 1 + a / 2) for k in range(1, abs(n) + 1))
+         for n in inner}
     checks = {}
     for gen in GENERATORS:
-        lhs = A @ rep_generator(pa, gen)
-        rhs_matrix = (RepOperator(pa, 1, rep_generator(pb, gen).matrix)) @ A
-        checks[gen] = max_interior_discrepancy(lhs, rhs_matrix, depth=1)
+        x_a, x_b = rep_generator(pa, gen), rep_generator(pb, gen)
+        checks[gen] = _report(
+            c[n + s] * x_a.entry(n + s, n) - x_b.entry(n + s, n) * c[n]
+            for s in x_a.terms for n in inner if n + s in inner)
     return {"a": a, "checks": checks,
-            "ok": all(c["ok"] for c in checks.values())}
+            "ok": all(r["ok"] for r in checks.values())}
 
 
 # -- bridges to the constraint families -----------------------------------------
@@ -388,7 +339,7 @@ def eigenproblem_window(N: int, two_eps: int, variant: str, g2, d,
     the constraint tridiagonal corresponds to the r-th listed weight vector).
     """
     if margin < 2:
-        raise ValueError("margin must be >= 2 so the block stays interior")
+        raise ValueError("margin must be >= 2")
     g2, d = to_fraction(g2), to_fraction(d)
     eps = Fraction(two_eps, 2)
     if variant == "plain":

@@ -10,7 +10,6 @@ from aqrm.exactpoly import (
     UniPoly,
     cauchy_bound,
     isolate_positive_roots,
-    poly_arith,
     poly_div_x,
     positive_root_count,
     refine_isolated,
@@ -58,15 +57,6 @@ def test_arith_examples():
     want = (2 * X * X + 3 * X * D + D * D - 4 * X - 2 * D)
     assert lhs == want
     assert lhs.to_text() == "2*x^2 + 3*x*d - 4*x + d^2 - 2*d"
-
-
-def test_poly_arith_dispatch():
-    a, b = X + D, X - 1
-    assert poly_arith(a, b, "add") == a + b
-    assert poly_arith(a, b, "sub") == a - b
-    assert poly_arith(a, b, "mul") == a * b
-    with pytest.raises(ValueError):
-        poly_arith(a, b, "div")
 
 
 def test_ring_axioms_randomized():
