@@ -12,6 +12,7 @@ from .constraint import (
     PLAIN,
     TILDE,
     constraint_poly,
+    constraint_poly_at,
     continuant,
     find_crossings,
     kernel_vector,

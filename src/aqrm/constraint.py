@@ -69,12 +69,42 @@ def _poly_sequence(N: int, two_eps_eff: int, k_max: int) -> list[BivarPoly]:
     return seq
 
 
-def constraint_poly(fam: ConstraintFamily, k: int) -> BivarPoly:
-    """The exact k-th constraint polynomial of the family (degree k in x)."""
+def _effective_two_eps(fam: ConstraintFamily, k: int) -> int:
     if not 0 <= k <= fam.N:
         raise ValueError(f"k={k} out of range 0..{fam.N}")
-    eff = fam.two_eps if fam.variant == PLAIN else -fam.two_eps
-    return _poly_sequence(fam.N, eff, k)[k]
+    return fam.two_eps if fam.variant == PLAIN else -fam.two_eps
+
+
+def constraint_poly(fam: ConstraintFamily, k: int) -> BivarPoly:
+    """The exact k-th constraint polynomial of the family (degree k in x)."""
+    return _poly_sequence(fam.N, _effective_two_eps(fam, k), k)[k]
+
+
+def constraint_poly_at(fam: ConstraintFamily, k: int, d_value) -> UniPoly:
+    """q^k P_k(x, p/q) for d = p/q in lowest terms, with int coefficients.
+
+    The recurrence of _poly_sequence at fixed d, multiplied through by q^k:
+    Q_k = [q k x + p - q(k^2 + k*two_eps_eff)] Q_{k-1}
+          - q^2 k(k-1)(N-k+1) x Q_{k-2}.
+    A positive multiple of constraint_poly(fam, k).specialize(d_value), so
+    its roots and Cauchy bound are the same.
+    """
+    eff = _effective_two_eps(fam, k)
+    d_value = to_fraction(d_value)
+    num, den = d_value.numerator, d_value.denominator
+    prev2: list[int] = []
+    prev = [1]
+    for j in range(1, k + 1):
+        const = num - den * (j * j + j * eff)
+        lin = den * j
+        back = den * den * j * (j - 1) * (fam.N - j + 1)
+        cur = [const * c for c in prev] + [0]
+        for i, c in enumerate(prev):
+            cur[i + 1] += lin * c
+        for i, c in enumerate(prev2):
+            cur[i + 1] -= back * c
+        prev2, prev = prev, cur
+    return UniPoly(prev)
 
 
 @dataclass(frozen=True)
@@ -123,13 +153,13 @@ def tridiag_matrix(fam: ConstraintFamily, k: int) -> TridiagSpec:
 
 
 def continuant(fam: ConstraintFamily, k: int) -> BivarPoly:
-    """Exact determinant of tridiag_matrix(fam, k) via the continuant recurrence."""
-    spec = tridiag_matrix(fam, k)
-    det_prev, det = BivarPoly.const(1), spec.diag[0]
-    for r in range(1, k + 1):
-        det, det_prev = (spec.diag[r] * det
-                         - spec.sup[r - 1] * spec.sub[r - 1] * det_prev), det
-    return det
+    """Exact determinant of tridiag_matrix(fam, k): (-1)^k (-d) P_k.
+
+    Entry (0, 0) is -d and the rest of its column (plain variant) or row
+    (tilde variant) is zero; expanding the remaining k rows reproduces the
+    recurrence for P_k up to the sign (-1)^k.
+    """
+    return (-1) ** k * -BivarPoly.d() * constraint_poly(fam, k)
 
 
 # -- crossings ---------------------------------------------------------------
@@ -199,8 +229,8 @@ def find_crossings(N: int, two_eps: int, d_value, precision) -> list[CrossingRec
     if d_value <= 0:
         raise ValueError("d must be positive")
     fam = ConstraintFamily(N, two_eps, PLAIN)
-    p = constraint_poly(fam, N).specialize(d_value)
-    intervals = isolate_positive_roots(p, precision)
+    intervals = isolate_positive_roots(constraint_poly_at(fam, N, d_value),
+                                       precision)
     pair = rep_pair_labels(N, two_eps)
     return [CrossingRecord(N=N, two_eps=two_eps, d_value=d_value,
                            root_interval=iv, rep_pair=pair)
@@ -339,7 +369,7 @@ def verify_conjecture(N: int, ell: int,
 def refine_crossing(rec: CrossingRecord, precision) -> CrossingRecord:
     """Return the record with its root interval shrunk to width <= precision."""
     fam = ConstraintFamily(rec.N, rec.two_eps, PLAIN)
-    p = constraint_poly(fam, rec.N).specialize(rec.d_value)
+    p = constraint_poly_at(fam, rec.N, rec.d_value)
     interval = refine_isolated(p, rec.root_interval, precision)
     return CrossingRecord(N=rec.N, two_eps=rec.two_eps, d_value=rec.d_value,
                           root_interval=interval, rep_pair=rec.rep_pair)

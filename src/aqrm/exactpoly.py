@@ -3,12 +3,13 @@
 Everything downstream that claims an identity holds "exactly" routes through
 this module: bivariate polynomials in the coupling variable x = (2g)^2 and the
 level-splitting variable d = Delta^2 with Fraction coefficients, univariate
-specializations, exact division along x, and Sturm-sequence isolation of
-positive real roots.
+specializations, exact division along x, and isolation of positive real
+roots by Descartes' rule of signs on integer polynomials.
 """
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -304,34 +305,142 @@ class UniPoly:
         return f"UniPoly({list(self.coeffs)})"
 
 
-# -- Sturm sequences and root isolation ---------------------------------------
+# -- root isolation on integer polynomials ------------------------------------
+#
+# Roots are isolated by Descartes' rule of signs on a bisection tree over
+# (0, B], B the Cauchy bound (Vincent-Collins-Akritas; Rouillier & Zimmermann,
+# "Efficient isolation of polynomial's real roots", 2004). Each cell (lo, hi)
+# carries a positive multiple of s(lo + (hi - lo) t) with int coefficients,
+# s the square-free part of p, so the sign pattern of a cell is exact integer
+# arithmetic; once a cell holds one root it is bisected on the sign of s alone.
 
-def sturm_chain(p: UniPoly) -> list[UniPoly]:
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero():
-        _, r = divmod(chain[-2], chain[-1])
-        chain.append(-r)
-    chain.pop()
-    return chain
-
-
-def _variations(chain: list[UniPoly], point: Fraction) -> int:
-    signs = []
-    for q in chain:
-        v = q(point)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+#: primes for the square-free certificate (gcd(s, s') computed modulo one)
+_CERT_PRIMES = (2**61 - 1, 2**89 - 1, 2**107 - 1)
 
 
-def _count(chain: list[UniPoly], lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots in the half-open interval (lo, hi]."""
-    return _variations(chain, lo) - _variations(chain, hi)
+def _integer_coeffs(coeffs) -> list[int]:
+    """Primitive int coefficients of a positive multiple of the polynomial."""
+    fracs = [to_fraction(c) for c in coeffs]
+    den = math.lcm(*(c.denominator for c in fracs))
+    ints = [c.numerator * (den // c.denominator) for c in fracs]
+    content = math.gcd(*ints)
+    return [c // content for c in ints]
+
+
+def _gcd_degree_mod(a: list[int], b: list[int], prime: int) -> int:
+    """Degree of gcd(a mod prime, b mod prime) over GF(prime)."""
+    def reduce(cs):
+        cs = [c % prime for c in cs]
+        while cs and not cs[-1]:
+            cs.pop()
+        return cs
+
+    a, b = reduce(a), reduce(b)
+    while b:
+        inv = pow(b[-1], -1, prime)
+        while len(a) >= len(b):
+            f = a[-1] * inv % prime
+            off = len(a) - len(b)
+            for i, c in enumerate(b):
+                a[off + i] = (a[off + i] - f * c) % prime
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
+def _square_free(a: list[int]) -> list[int]:
+    """Primitive int polynomial a / gcd(a, a'): the distinct roots of a, each simple.
+
+    A gcd of degree 0 modulo a prime not dividing the leading coefficient
+    proves a square-free, which skips the exact rational Euclid in the
+    common case.
+    """
+    deriv = [i * c for i, c in enumerate(a)][1:]
+    for prime in _CERT_PRIMES:
+        if a[-1] % prime:
+            if _gcd_degree_mod(a, deriv, prime) == 0:
+                return a
+            break
+    g, r = UniPoly(a), UniPoly(deriv)
+    while not r.is_zero():
+        g, r = r, divmod(g, r)[1]
+    return _integer_coeffs(divmod(UniPoly(a), g)[0].coeffs)
+
+
+def _sign_at(s: list[int], point: Fraction) -> int:
+    """Sign of s(point), by integer homogeneous Horner."""
+    u, v = point.numerator, point.denominator
+    acc, vpow = s[-1], 1
+    for c in reversed(s[:-1]):
+        vpow *= v
+        acc = acc * u + c * vpow
+    return (acc > 0) - (acc < 0)
+
+
+def _shift(a: list[int], c: int) -> list[int]:
+    """Coefficients of a(t + c), by the classical Taylor-shift scheme."""
+    a = list(a)
+    n = len(a) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            a[j] += c * a[j + 1]
+    return a
+
+
+def _cell_poly(s: list[int], lo: Fraction, hi: Fraction) -> list[int]:
+    """Primitive int coefficients of a positive multiple of s(lo + (hi - lo) t)."""
+    m = math.lcm(lo.denominator, hi.denominator)
+    n = len(s) - 1
+    scaled = [c * m ** (n - i) for i, c in enumerate(s)]  # m^n s(y / m)
+    width = int((hi - lo) * m)
+    return _integer_coeffs([c * width**i for i, c in
+                            enumerate(_shift(scaled, int(lo * m)))])
+
+
+def _halves(q: list[int]) -> tuple[list[int], list[int]]:
+    """Cell polynomials of the left and right halves of q's cell.
+
+    The left half is 2^n q(t/2); the right half is the left one shifted by 1,
+    so its constant term is 2^n q(1/2) and vanishes exactly when the
+    midpoint is a root.
+    """
+    n = len(q) - 1
+    left = [c << (n - i) for i, c in enumerate(q)]
+    return left, _shift(left, 1)
+
+
+def _descartes(q: list[int]) -> int:
+    """Sign changes of (1 + t)^n q(1 / (1 + t)), capped at 2.
+
+    0 and 1 are the exact number of roots of q in (0, 1); 2 means "split".
+    """
+    signs = [c > 0 for c in _shift(q[::-1], 1) if c]
+    return min(2, sum(a != b for a, b in zip(signs, signs[1:])))
+
+
+def _roots_in_cell(q: list[int]) -> int:
+    """Exact number of roots of the square-free q in (0, 1)."""
+    found = _descartes(q)
+    if found < 2:
+        return found
+    left, right = _halves(q)
+    return _roots_in_cell(left) + _roots_in_cell(right) + (not right[0])
 
 
 def cauchy_bound(p: UniPoly) -> Fraction:
     lead = abs(p.coeffs[-1])
     return 1 + max(abs(c) for c in p.coeffs) / lead
+
+
+def _positive_part(p: UniPoly) -> list[int]:
+    """Int coefficients of p with its roots at 0 removed."""
+    if p.is_zero():
+        raise ValueError("cannot isolate roots of the zero polynomial")
+    coeffs = list(p.coeffs)
+    while not coeffs[0]:
+        coeffs.pop(0)  # roots at x = 0 are not positive
+    return _integer_coeffs(coeffs)
 
 
 def isolate_positive_roots(p: UniPoly, precision) -> list[tuple[Fraction, Fraction]]:
@@ -340,54 +449,61 @@ def isolate_positive_roots(p: UniPoly, precision) -> list[tuple[Fraction, Fracti
     Each returned (lo, hi) has width <= precision and contains exactly one
     root counted in the half-open sense (lo, hi]; intervals are disjoint and
     sorted. Exact rational arithmetic throughout.
+
+    The cells are those of plain bisection of (0, B], B = cauchy_bound(p):
+    a cell with two or more roots is split at its midpoint (nudged right by
+    (hi - lo)/8, /16, ... while that is a root), and a cell with one root
+    is halved towards the root until it is at most precision wide, or
+    collapses to (mid, mid) when a midpoint is the root.
     """
-    if p.is_zero():
-        raise ValueError("cannot isolate roots of the zero polynomial")
+    a = _positive_part(p)
     precision = to_fraction(precision)
     if precision <= 0:
         raise ValueError("precision must be positive")
-    coeffs = list(p.coeffs)
-    while coeffs and not coeffs[0]:
-        coeffs.pop(0)  # roots at x = 0 are not positive
-    p = UniPoly(coeffs)
-    if p.degree() <= 0:
+    if len(a) <= 1:
         return []
-    chain = sturm_chain(p)
-    bound = cauchy_bound(p)
+    bound = cauchy_bound(UniPoly(a))
+    s = _square_free(a)
     found: list[tuple[Fraction, Fraction]] = []
-    stack = [(Fraction(0), bound, _count(chain, Fraction(0), bound))]
+    stack = [(Fraction(0), bound, _cell_poly(s, Fraction(0), bound))]
     while stack:
-        lo, hi, k = stack.pop()
-        if k == 0:
+        lo, hi, q = stack.pop()
+        count = _descartes(q)
+        if count == 2:
+            left, right = _halves(q)
+            # plain bisection drops a root-free cell and halves a one-root
+            # cell towards its root, which is this same split unless the
+            # cell is narrow enough already or its midpoint is a root
+            if not right[0] or hi - lo <= precision:
+                count = _roots_in_cell(q)
+        if count == 1:
+            found.append(_refine(s, lo, hi, precision))
+        if count < 2:
             continue
-        if k == 1:
-            found.append(_refine(chain, p, lo, hi, precision))
+        mid = (lo + hi) / 2
+        if right[0]:
+            stack += [(lo, mid, left), (mid, hi, right)]
             continue
-        mid = _root_free_midpoint(p, lo, hi)
-        left = _count(chain, lo, mid)
-        stack.append((lo, mid, left))
-        stack.append((mid, hi, k - left))
+        step = (hi - lo) / 4
+        while not _sign_at(s, mid):
+            step /= 2
+            mid += step
+        stack += [(lo, mid, _cell_poly(s, lo, mid)),
+                  (mid, hi, _cell_poly(s, mid, hi))]
     return sorted(found)
 
 
-def _root_free_midpoint(p: UniPoly, lo: Fraction, hi: Fraction) -> Fraction:
-    mid = (lo + hi) / 2
-    step = (hi - lo) / 4
-    while not p(mid):
-        # nudge until the split point itself is not a root
-        step /= 2
-        mid += step
-    return mid
-
-
-def _refine(chain, p: UniPoly, lo: Fraction, hi: Fraction,
+def _refine(s: list[int], lo: Fraction, hi: Fraction,
             precision: Fraction) -> tuple[Fraction, Fraction]:
+    """Halve (lo, hi], which holds exactly one root of the square-free s."""
+    sign_hi = _sign_at(s, hi)
     while hi - lo > precision:
         mid = (lo + hi) / 2
-        if not p(mid):
+        sign_mid = _sign_at(s, mid)
+        if not sign_mid:
             # the midpoint is the root itself; collapse onto it
             return (mid, mid)
-        if _count(chain, lo, mid) == 1:
+        if sign_mid == sign_hi:
             hi = mid
         else:
             lo = mid
@@ -399,21 +515,19 @@ def refine_isolated(p: UniPoly, interval: tuple, precision) -> tuple[Fraction, F
     lo, hi = to_fraction(interval[0]), to_fraction(interval[1])
     if lo == hi:
         return (lo, hi)
-    chain = sturm_chain(p)
-    if _count(chain, lo, hi) != 1:
+    if p.is_zero() or lo > hi:
         raise ValueError("interval does not isolate exactly one root")
-    return _refine(chain, p, lo, hi, to_fraction(precision))
+    s = _square_free(_integer_coeffs(p.coeffs))
+    if len(s) <= 1 or (_roots_in_cell(_cell_poly(s, lo, hi))
+                       + (not _sign_at(s, hi))) != 1:
+        raise ValueError("interval does not isolate exactly one root")
+    return _refine(s, lo, hi, to_fraction(precision))
 
 
 def positive_root_count(p: UniPoly) -> int:
-    """Number of distinct positive real roots, by Sturm's method."""
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    coeffs = list(p.coeffs)
-    while coeffs and not coeffs[0]:
-        coeffs.pop(0)
-    p = UniPoly(coeffs)
-    if p.degree() <= 0:
+    """Number of distinct positive real roots, by Descartes' rule on (0, B)."""
+    a = _positive_part(p)
+    if len(a) <= 1:
         return 0
-    chain = sturm_chain(p)
-    return _count(chain, Fraction(0), cauchy_bound(p))
+    bound = cauchy_bound(UniPoly(a))
+    return _roots_in_cell(_cell_poly(_square_free(a), Fraction(0), bound))

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .constraint import ConstraintFamily, constraint_poly
+from .exactpoly import UniPoly
 
 #: evaluation point of the x-variable series: x = 1/2, i.e. z = 0
 PATCH_X = 0.5
@@ -181,10 +182,8 @@ class ExceptionalRoot:
     residual: float
 
 
-def _scaled_constraint_magnitude(N: int, g: float, delta: float) -> float:
-    """|P_N(4g^2, Delta^2)| divided by the positive majorant sum |c_i| x^i."""
-    poly = constraint_poly(ConstraintFamily(N, 0), N)
-    p = poly.specialize(Fraction(delta) ** 2)
+def _scaled_constraint_magnitude(p: UniPoly, g: float) -> float:
+    """|p(4g^2)| divided by the positive majorant sum |c_i| x^i."""
     x = 4 * Fraction(g) ** 2
     value = abs(p(x))
     scale = sum(abs(c) * x**i for i, c in enumerate(p.coeffs))
@@ -205,6 +204,8 @@ def find_exceptional(N: int, delta: float, g_range: tuple[float, float],
     if delta <= 0:
         raise ValueError("delta must be positive")
     grid = [g_lo + (g_hi - g_lo) * i / 199 for i in range(200)]
+    p_n = constraint_poly(ConstraintFamily(N, 0), N).specialize(
+        Fraction(delta) ** 2)
     roots: list[ExceptionalRoot] = []
     for parity, func in (("plus", g_plus), ("minus", g_minus)):
         values = [func(N, g, delta).value for g in grid]
@@ -215,7 +216,7 @@ def find_exceptional(N: int, delta: float, g_range: tuple[float, float],
                 continue
             root, res = _bisect(lambda g: func(N, g, delta).value,
                                 a, b, fa, tol)
-            if _scaled_constraint_magnitude(N, root, delta) < DEGENERATE_SUSPECT_TOL:
+            if _scaled_constraint_magnitude(p_n, root) < DEGENERATE_SUSPECT_TOL:
                 continue  # degenerate suspect: the constraint polynomial vanishes too
             roots.append(ExceptionalRoot(N=N, delta=delta, g_root=root,
                                          lambda_=N - root * root,

@@ -338,8 +338,8 @@ def eigenproblem_window(N: int, two_eps: int, variant: str, g2, d,
     the scalar Lambda_a, and the weight indices in matrix row order (row r of
     the constraint tridiagonal corresponds to the r-th listed weight vector).
     """
-    if margin < 2:
-        raise ValueError("margin must be >= 2")
+    if margin < 0:
+        raise ValueError("margin must be >= 0")
     g2, d = to_fraction(g2), to_fraction(d)
     eps = Fraction(two_eps, 2)
     if variant == "plain":

@@ -12,10 +12,11 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
-from .constraint import CrossingRecord
+from .constraint import CrossingRecord, refine_crossing
 
 DEFAULT_NMAX = 60
 ESCALATED_NMAX = 120
@@ -29,6 +30,10 @@ CONV_TOL = 1e-9
 DEGENERACY_TOL = 1e-7
 #: ... while avoided crossings in the validated regimes stay above this floor
 AVOIDED_FLOOR = 1e-4
+#: confirm_crossing first refines a record wider in x than tol times this;
+#: the level gap grows about linearly with the width (about 1 per unit of x
+#: at N=12), and records at the CLI default width 1e-12 are never refined
+CONFIRM_WIDTH = Fraction(1, 1000)
 
 
 @dataclass(frozen=True)
@@ -50,14 +55,17 @@ def build_hamiltonian(params: ModelParams, n_max: int) -> np.ndarray:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     dim = n_max + 1
-    number = np.diag(np.arange(dim, dtype=float))
-    ladder = np.zeros((dim, dim))
-    for n in range(n_max):
-        ladder[n, n + 1] = ladder[n + 1, n] = math.sqrt(n + 1.0)
-    upper = number + params.g * ladder + params.eps * np.eye(dim)
-    lower = number - params.g * ladder - params.eps * np.eye(dim)
-    coupling = params.delta * np.eye(dim)
-    return np.block([[upper, coupling], [coupling, lower]])
+    h = np.zeros((2 * dim, 2 * dim))
+    rows = np.arange(dim)
+    number = rows.astype(float)
+    hop = params.g * np.sqrt(number[1:])
+    # filled in place: dense temporaries per block would triple the peak
+    # memory of the matrix itself
+    for block, sign in ((h[:dim, :dim], 1.0), (h[dim:, dim:], -1.0)):
+        block[rows, rows] = number + sign * params.eps
+        block[rows[:-1], rows[1:]] = block[rows[1:], rows[:-1]] = sign * hop
+    h[rows, rows + dim] = h[rows + dim, rows] = params.delta
+    return h
 
 
 def eigenvalues(params: ModelParams, n_max: int) -> np.ndarray:
@@ -155,8 +163,12 @@ def confirm_crossing(record: CrossingRecord, n_max: int = DEFAULT_NMAX,
     root of the constraint polynomial; the truncated spectrum must contain
     two eigenvalues within tol of that target and of each other. Raises
     ValueError if it does not (wrong root, or truncation too small even
-    after escalation).
+    after escalation). A record too wide for tol is refined first.
     """
+    precision = Fraction(tol) * CONFIRM_WIDTH
+    lo, hi = record.root_interval
+    if hi - lo > precision:
+        record = refine_crossing(record, precision)
     g_star = record.g
     target = record.lambda_
     params = ModelParams(g=g_star, delta=math.sqrt(float(record.d_value)),

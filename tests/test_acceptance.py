@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 from aqrm import constraint, gfunction, heun, sl2rep, spectrum
 from aqrm.constraint import PLAIN, TILDE, ConstraintFamily
@@ -66,6 +67,61 @@ def test_criterion_04_root_counts_in_each_window():
                 count = len(constraint.find_crossings(N, two_eps, d, PREC))
                 assert count == N - k, (N, two_eps, k, count)
     print("criterion 4: PASS (root count N-k in every window, N<=6)")
+
+
+def sympy_root_counter(p):
+    """count(lo, hi): real roots of p in [lo, hi], as sympy's count_roots.
+
+    The Sturm sequence comes from sympy.sturm, once per polynomial, and is
+    evaluated by integer Horner; count_roots rebuilds it and evaluates it in
+    sympy rationals on every call, about 0.4 s per interval at N=20.
+    """
+    t = sympy.Symbol("t")
+    chain = []
+    for q in sympy.sturm(sympy.Poly([int(c) for c in reversed(p.coeffs)], t)):
+        cs = [sympy.Rational(c) for c in q.all_coeffs()]
+        den = math.lcm(*(int(c.q) for c in cs))
+        chain.append([int(c * den) for c in cs])
+
+    def signs(x):
+        out = []
+        for cs in chain:  # highest degree first
+            acc = 0
+            for i, c in enumerate(cs):
+                acc = acc * x.numerator + c * x.denominator**i
+            out.append((acc > 0) - (acc < 0))
+        return out
+
+    def variations(s):
+        s = [v for v in s if v]
+        return sum(a != b for a, b in zip(s, s[1:]))
+
+    def count(lo, hi):
+        at_lo = signs(lo)
+        return variations(at_lo) - variations(signs(hi)) + (at_lo[0] == 0)
+
+    return count
+
+
+def test_root_counts_per_window_to_level_20():
+    # every window at its midpoint for N <= 12, a seeded sample for N = 13..20
+    rng = random.Random(2020)
+    cases = [(N, two_eps, k) for N in range(1, 13) for two_eps in (0, 1, 2)
+             for k in range(N + 1)]
+    cases += [(N, rng.choice((0, 1, 2)), rng.randint(0, N))
+              for N in range(13, 21) for _ in range(2)]
+    for N, two_eps, k in cases:
+        eps = Fraction(two_eps, 2)
+        d = Fraction(k * k + 2 * k * eps + (k + 1) ** 2 + 2 * (k + 1) * eps, 2)
+        records = constraint.find_crossings(N, two_eps, d, PREC)
+        assert len(records) == N - k, (N, two_eps, k, len(records))
+        count = sympy_root_counter(constraint.constraint_poly_at(
+            ConstraintFamily(N, two_eps), N, d))
+        for rec in records:
+            lo, hi = rec.root_interval
+            assert hi - lo <= PREC
+            assert count(lo, hi) == 1, (N, two_eps, k, rec.root_interval)
+    print(f"root counts N-k: PASS ({len(cases)} windows, N<=20)")
 
 
 def test_criterion_05_crossings_confirmed_and_discriminated():

@@ -45,6 +45,17 @@ def test_crossings_confirmed_record(capsys):
     assert blob["modules"] == ["F_2", "F_1"]
 
 
+def test_coarse_crossings_confirm(capsys):
+    # records isolated at width 1e-6 are refined before diagonalizing;
+    # unrefined, 5 of these 12 miss the 1e-7 degeneracy tolerance
+    code, out = run(capsys, "crossings", "--N", "12", "--two-eps", "1",
+                    "--delta2", "1", "--precision", "1/1000000", "--confirm")
+    assert code == 0
+    rows = [json.loads(ln) for ln in out.split("\n") if ln]
+    assert len(rows) == 12
+    assert all(row["gap"] < 1e-7 for row in rows)
+
+
 def test_crossings_csv(capsys):
     code, out = run(capsys, "crossings", "--N", "2", "--two-eps", "1",
                     "--delta2", "1/4", "--format", "csv")

@@ -12,6 +12,7 @@ from aqrm.constraint import (
     ConstraintFamily,
     CrossingRecord,
     constraint_poly,
+    constraint_poly_at,
     continuant,
     find_crossings,
     kernel_vector,
@@ -85,6 +86,15 @@ def test_tridiag_examples():
     assert det == -D * constraint_poly(ConstraintFamily(2, 0), 2)
 
 
+def tridiag_det(spec):
+    """Determinant of a tridiagonal matrix by the continuant recurrence."""
+    det_prev, det = BivarPoly.const(1), spec.diag[0]
+    for r in range(1, spec.size):
+        det, det_prev = (spec.diag[r] * det
+                         - spec.sup[r - 1] * spec.sub[r - 1] * det_prev), det
+    return det
+
+
 def test_continuant_matches_polynomial():
     for N in range(1, 11):
         for two_eps in (-2, 0, 1):
@@ -92,7 +102,21 @@ def test_continuant_matches_polynomial():
                 fam = ConstraintFamily(N, two_eps, variant)
                 for k in range(N + 1):
                     scale = BivarPoly.const((-1) ** k) * -D
-                    assert continuant(fam, k) == scale * constraint_poly(fam, k)
+                    det = tridiag_det(tridiag_matrix(fam, k))
+                    assert det == continuant(fam, k)
+                    assert det == scale * constraint_poly(fam, k)
+
+
+def test_constraint_poly_at_is_scaled_specialization():
+    rng = random.Random(577)
+    for _ in range(40):
+        N = rng.randint(1, 9)
+        k = rng.randint(0, N)
+        fam = ConstraintFamily(N, rng.randint(-3, 3), rng.choice((PLAIN, TILDE)))
+        d = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
+        got = constraint_poly_at(fam, k, d)
+        assert got == constraint_poly(fam, k).specialize(d) * d.denominator**k
+        assert all(c.denominator == 1 for c in got.coeffs)
 
 
 def test_tridiag_dense_matches_entries():

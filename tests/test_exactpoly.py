@@ -14,7 +14,6 @@ from aqrm.exactpoly import (
     positive_root_count,
     refine_isolated,
     to_fraction,
-    sturm_chain,
 )
 
 X, D = BivarPoly.x(), BivarPoly.d()
@@ -220,8 +219,58 @@ def test_cauchy_bound_contains_real_roots():
             assert abs(r) <= bound
 
 
-def test_sturm_chain_signs():
-    p = UniPoly([-2, 0, 1])
-    chain = sturm_chain(p)
-    assert chain[0] == p and chain[1] == p.derivative()
-    assert all(not q.is_zero() for q in chain)
+def test_positive_root_count_matches_sympy():
+    # random integer polynomials of degree <= 8, a third of them with a
+    # repeated factor, so the square-free reduction is exercised
+    rng = random.Random(8128)
+    t = sympy.Symbol("t")
+    for _ in range(60):
+        p = UniPoly([rng.randint(-20, 20) for _ in range(rng.randint(2, 7))])
+        if p.is_zero():
+            continue
+        if rng.random() < 0.35:
+            factor = UniPoly([rng.randint(-6, 6), rng.randint(1, 3)])
+            p = p * factor * factor
+        expr = sum(sympy.Rational(c) * t**i for i, c in enumerate(p.coeffs))
+        poly = sympy.Poly(expr, t)
+        want = len({r for r in poly.real_roots() if r > 0})
+        assert positive_root_count(p) == want
+        ivs = isolate_positive_roots(p, Fraction(1, 2**20))
+        assert len(ivs) == want
+        for lo, hi in ivs:
+            assert poly.count_roots(sympy.Rational(lo), sympy.Rational(hi)) == 1
+
+
+def test_isolation_edge_cases_follow_plain_bisection():
+    # (t-1)^2 (t-3): a double root; B = 8 and both roots are midpoints met
+    # while halving a one-root cell, so each collapses onto itself
+    p = UniPoly([-3, 7, -5, 1])
+    assert isolate_positive_roots(p, PREC) == [(1, 1), (3, 3)]
+    assert positive_root_count(p) == 2
+    # (t-1)(t-2): B = 4 and the first split point B/2 = 2 is a root, so the
+    # split moves to 2 + 4/8 = 5/2
+    p = UniPoly([2, -3, 1])
+    assert isolate_positive_roots(p, Fraction(1, 4)) == [
+        (Fraction(15, 16), Fraction(35, 32)), (Fraction(15, 8), Fraction(65, 32))]
+    assert isolate_positive_roots(p, Fraction(1, 1000)) == [
+        (Fraction(4095, 4096), Fraction(8195, 8192)),
+        (Fraction(4095, 2048), Fraction(16385, 8192))]
+    t = sympy.Symbol("t")
+    poly = sympy.Poly((t - 1) * (t - 2), t)
+    for lo, hi in isolate_positive_roots(p, PREC):
+        assert poly.count_roots(sympy.Rational(lo), sympy.Rational(hi)) == 1
+    # (t - 1/3)((t - 1/21)^2 + 1/64): the complex pair gives (0, 1/2] two
+    # sign changes, but it holds one root and is already narrow enough
+    p = UniPoly([-Fraction(1, 3), 1]) * UniPoly(
+        [Fraction(1, 21**2) + Fraction(1, 64), -Fraction(2, 21), 1])
+    assert isolate_positive_roots(p, Fraction(1, 2)) == [(0, Fraction(1, 2))]
+
+
+def test_refine_isolated_half_open_contract():
+    p = UniPoly([3, -4, 1])  # (t-1)(t-3)
+    # a root at hi lies in (lo, hi]; a root at lo does not
+    assert refine_isolated(p, (0, 1), Fraction(1, 1000)) == (Fraction(1023, 1024), 1)
+    assert refine_isolated(p, (1, 3), Fraction(1, 1000)) == (Fraction(3071, 1024), 3)
+    for interval in ((0, 4), (1, 2), (3, 4), (3, 1)):
+        with pytest.raises(ValueError):
+            refine_isolated(p, interval, Fraction(1, 1000))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from aqrm import sl2rep, spectrum
+from aqrm.constraint import ConstraintFamily, constraint_poly
 from aqrm.gfunction import (
     ExceptionalRoot,
     KSeries,
@@ -153,8 +154,10 @@ def test_degenerate_suspect_scale():
     # the scaled constraint magnitude vanishes at a Judd point and is O(1)
     # away from it
     judd_g = math.sqrt(0.5) / 2  # N=1 root of x + d - 1 at d = 1/2
-    near = _scaled_constraint_magnitude(1, judd_g, math.sqrt(0.5))
-    far = _scaled_constraint_magnitude(1, 1.0, math.sqrt(0.5))
+    p = constraint_poly(ConstraintFamily(1, 0), 1).specialize(
+        Fraction(math.sqrt(0.5)) ** 2)
+    near = _scaled_constraint_magnitude(p, judd_g)
+    far = _scaled_constraint_magnitude(p, 1.0)
     assert near < 1e-12
     assert far > 1e-2
 
