@@ -13,7 +13,6 @@ from .constraint import (
     TILDE,
     constraint_poly,
     constraint_poly_at,
-    continuant,
     find_crossings,
     kernel_vector,
     rep_pair_labels,

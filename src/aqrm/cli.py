@@ -180,22 +180,10 @@ def _rep_block_checks(rng: random.Random, trials: int) -> list[dict]:
         variant = rng.choice((constraint.PLAIN, constraint.TILDE))
         g2 = _random_fraction(rng, True)
         d = _random_fraction(rng, True)
-        x = 4 * g2  # the constraint variable is (2g)^2
         block = sl2rep.k_block_minus_lambda(N, two_eps, variant, g2, d)
         spec = constraint.tridiag_matrix(
             constraint.ConstraintFamily(N, two_eps, variant), N)
-        ok = True
-        for r in range(N + 1):
-            for c in range(N + 1):
-                if c == r:
-                    want = spec.diag[r].evaluate(x, d)
-                elif c == r + 1:
-                    want = spec.sup[r].evaluate(x, d)
-                elif c == r - 1:
-                    want = spec.sub[r - 1].evaluate(x, d)
-                else:
-                    want = Fraction(0)
-                ok = ok and block[r][c] == want
+        ok = block == spec.at(4 * g2, d)  # the constraint variable is (2g)^2
         checks.append({"name": "k_block_tridiagonal", "N": N,
                        "two_eps": two_eps, "variant": variant, "ok": ok})
     return checks

@@ -5,7 +5,7 @@ eigenvalues lambda = N - g^2 + eps whose coupling values are positive roots of
 a constraint polynomial P_N in x = (2g)^2 and d = Delta^2. Two variants exist,
 here called plain and tilde; they are exchanged by negating eps. This module
 builds both families exactly, exposes the tridiagonal matrices whose
-continuants generate them, locates crossings at fixed d, reconstructs kernel
+determinants generate them, locates crossings at fixed d, reconstructs kernel
 vectors at roots, and hosts the exact divisibility verifiers that relate the
 two families at half-integer eps.
 """
@@ -109,7 +109,7 @@ def constraint_poly_at(fam: ConstraintFamily, k: int, d_value) -> UniPoly:
 
 @dataclass(frozen=True)
 class TridiagSpec:
-    """Entries of the (k+1)x(k+1) tridiagonal matrix behind the continuants.
+    """Entries of the (k+1)x(k+1) tridiagonal matrix behind P_k.
 
     Row r holds diag[r] on the diagonal, sup[r] at (r, r+1) and sub[r] at
     (r, r-1); entries are exact polynomials in x and d.
@@ -120,20 +120,28 @@ class TridiagSpec:
     sup: tuple[BivarPoly, ...]
     sub: tuple[BivarPoly, ...]
 
-    def dense(self, x_value, d_value) -> np.ndarray:
-        """Specialized dense float matrix at numeric (x, d)."""
-        m = np.zeros((self.size, self.size))
+    def at(self, x_value, d_value) -> list[list[Fraction]]:
+        """The exact matrix at (x, d), zero off the band."""
+        m = [[Fraction(0)] * self.size for _ in range(self.size)]
         for r in range(self.size):
-            m[r, r] = float(self.diag[r].evaluate(x_value, d_value))
+            m[r][r] = self.diag[r].evaluate(x_value, d_value)
             if r + 1 < self.size:
-                m[r, r + 1] = float(self.sup[r].evaluate(x_value, d_value))
-            if r >= 1:
-                m[r, r - 1] = float(self.sub[r - 1].evaluate(x_value, d_value))
+                m[r][r + 1] = self.sup[r].evaluate(x_value, d_value)
+                m[r + 1][r] = self.sub[r].evaluate(x_value, d_value)
         return m
+
+    def dense(self, x_value, d_value) -> np.ndarray:
+        """The matrix at (x, d) as floats."""
+        return np.array(self.at(x_value, d_value), dtype=float)
 
 
 def tridiag_matrix(fam: ConstraintFamily, k: int) -> TridiagSpec:
-    """Tridiagonal matrix whose continuant equals (-1)^k (-d) P_k."""
+    """Tridiagonal matrix whose determinant equals (-1)^k (-d) P_k.
+
+    Entry (0, 0) is -d and the rest of its column (plain variant) or row
+    (tilde variant) is zero; expanding the remaining k rows reproduces the
+    recurrence for P_k up to the sign (-1)^k.
+    """
     if not 0 <= k <= fam.N:
         raise ValueError(f"k={k} out of range 0..{fam.N}")
     x, d = BivarPoly.x(), BivarPoly.d()
@@ -150,16 +158,6 @@ def tridiag_matrix(fam: ConstraintFamily, k: int) -> TridiagSpec:
         sub = tuple(BivarPoly.const((fam.N - r + 1) * r)
                     for r in range(1, k + 1))
     return TridiagSpec(size=k + 1, diag=diag, sup=sup, sub=sub)
-
-
-def continuant(fam: ConstraintFamily, k: int) -> BivarPoly:
-    """Exact determinant of tridiag_matrix(fam, k): (-1)^k (-d) P_k.
-
-    Entry (0, 0) is -d and the rest of its column (plain variant) or row
-    (tilde variant) is zero; expanding the remaining k rows reproduces the
-    recurrence for P_k up to the sign (-1)^k.
-    """
-    return (-1) ** k * -BivarPoly.d() * constraint_poly(fam, k)
 
 
 # -- crossings ---------------------------------------------------------------
@@ -242,56 +240,23 @@ def find_crossings(N: int, two_eps: int, d_value, precision) -> list[CrossingRec
 NONROOT_RESIDUAL = 1e-6  #: residual/norm ratio above which x is rejected as a non-root
 
 
-def kernel_vector(fam: ConstraintFamily, d_value, x_value: float,
-                  seed: str = "top") -> list[float]:
+def kernel_vector(fam: ConstraintFamily, d_value, x_value: float) -> list[float]:
     """Unit kernel vector of the specialized full-size tridiagonal matrix.
 
     The matrix at a constraint-polynomial root has rank N, so its kernel is a
-    line; the vector is reconstructed by the three-term recurrence seeded at
-    the entry known to be nonzero ("top", descending from row 0) or from the
-    other end ("bottom"). Raises ValueError when the residual shows x_value is
-    not a root to working precision.
+    line, spanned by the right singular vector of the smallest singular value.
+    A three-term recurrence run from either end of the matrix loses accuracy
+    at large N; the SVD does not. The sign makes entry 0 (plain) or 1 (tilde),
+    the entry that is nonzero on every kernel vector, positive. Raises
+    ValueError when the residual shows x_value is not a root to working
+    precision.
     """
-    if seed not in ("top", "bottom"):
-        raise ValueError("seed must be 'top' or 'bottom'")
-    d = float(to_fraction(d_value))
+    d_value = to_fraction(d_value)
     x = float(x_value)
-    if x <= 0 or d <= 0:
+    if x <= 0 or d_value <= 0:
         raise ValueError("x and d must be positive")
-    spec = tridiag_matrix(fam, fam.N)
-    m = spec.dense(Fraction(x), to_fraction(d_value))
-    n = fam.N
-    v = [0.0] * (n + 1)
-    diag = m.diagonal()
-    sup = [m[r, r + 1] for r in range(n)]
-    sub = [m[r, r - 1] for r in range(1, n + 1)]
-    if fam.variant == PLAIN:
-        if seed == "top":
-            v[0] = 1.0
-            for r in range(n):
-                prev = v[r - 1] if r >= 1 else 0.0
-                lower = sub[r - 1] * prev if r >= 1 else 0.0
-                v[r + 1] = -(diag[r] * v[r] + lower) / sup[r]
-        else:
-            v[n] = 1.0
-            for r in range(n, 1, -1):
-                upper = sup[r] * v[r + 1] if r < n else 0.0
-                v[r - 1] = -(diag[r] * v[r] + upper) / sub[r - 1]
-            # row 1 has a zero sub-diagonal entry; row 0 fixes v[0] instead
-            v[0] = -sup[0] * v[1] / diag[0]
-    else:
-        if seed == "top":
-            v[0] = 0.0  # forced by the first row: diag[0] = -d is nonzero
-            v[1] = 1.0
-            for r in range(1, n):
-                v[r + 1] = -(diag[r] * v[r] + sub[r - 1] * v[r - 1]) / sup[r]
-        else:
-            v[n] = 1.0
-            for r in range(n, 0, -1):
-                upper = sup[r] * v[r + 1] if r < n else 0.0
-                v[r - 1] = -(diag[r] * v[r] + upper) / sub[r - 1]
-    vec = np.array(v)
-    vec /= np.linalg.norm(vec)
+    m = tridiag_matrix(fam, fam.N).dense(Fraction(x), d_value)
+    vec = np.linalg.svd(m)[2][-1]
     residual = np.linalg.norm(m @ vec) / np.linalg.norm(m)
     if residual > NONROOT_RESIDUAL:
         raise ValueError(

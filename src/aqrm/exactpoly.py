@@ -513,9 +513,9 @@ def _refine(s: list[int], lo: Fraction, hi: Fraction,
 def refine_isolated(p: UniPoly, interval: tuple, precision) -> tuple[Fraction, Fraction]:
     """Shrink an isolating interval (half-open, exactly one root) to width <= precision."""
     lo, hi = to_fraction(interval[0]), to_fraction(interval[1])
-    if lo == hi:
+    if lo == hi and not p.is_zero() and p(lo) == 0:
         return (lo, hi)
-    if p.is_zero() or lo > hi:
+    if p.is_zero() or lo >= hi:
         raise ValueError("interval does not isolate exactly one root")
     s = _square_free(_integer_coeffs(p.coeffs))
     if len(s) <= 1 or (_roots_in_cell(_cell_poly(s, lo, hi))

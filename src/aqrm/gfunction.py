@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .constraint import ConstraintFamily, constraint_poly
+from .constraint import ConstraintFamily, constraint_poly_at
 from .exactpoly import UniPoly
 
 #: evaluation point of the x-variable series: x = 1/2, i.e. z = 0
@@ -204,8 +204,7 @@ def find_exceptional(N: int, delta: float, g_range: tuple[float, float],
     if delta <= 0:
         raise ValueError("delta must be positive")
     grid = [g_lo + (g_hi - g_lo) * i / 199 for i in range(200)]
-    p_n = constraint_poly(ConstraintFamily(N, 0), N).specialize(
-        Fraction(delta) ** 2)
+    p_n = constraint_poly_at(ConstraintFamily(N, 0), N, Fraction(delta) ** 2)
     roots: list[ExceptionalRoot] = []
     for parity, func in (("plus", g_plus), ("minus", g_minus)):
         values = [func(N, g, delta).value for g in grid]

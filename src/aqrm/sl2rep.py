@@ -330,16 +330,14 @@ def intertwiner_check(a, window: tuple[int, int]) -> dict:
 
 # -- bridges to the constraint families -----------------------------------------
 
-def eigenproblem_window(N: int, two_eps: int, variant: str, g2, d,
-                        margin: int = 3) -> dict:
+def eigenproblem_window(N: int, two_eps: int, variant: str, g2, d) -> dict:
     """Representation data behind one constraint family at level N.
 
-    Returns the window parameters, the K-parameters of the matching reduction,
-    the scalar Lambda_a, and the weight indices in matrix row order (row r of
-    the constraint tridiagonal corresponds to the r-th listed weight vector).
+    Returns the window parameters (a window spanning exactly the row
+    weights), the K-parameters of the matching reduction, the scalar
+    Lambda_a, and the weight indices in matrix row order (row r of the
+    constraint tridiagonal corresponds to the r-th listed weight vector).
     """
-    if margin < 0:
-        raise ValueError("margin must be >= 0")
     g2, d = to_fraction(g2), to_fraction(d)
     eps = Fraction(two_eps, 2)
     if variant == "plain":
@@ -363,7 +361,7 @@ def eigenproblem_window(N: int, two_eps: int, variant: str, g2, d,
     else:
         raise ValueError(f"unknown variant {variant!r}")
     kp, a = reduction_kparams(which, lam, g2, d, eps)
-    params = RepParams(j, a, min(rows) - margin, max(rows) + margin)
+    params = RepParams(j, a, min(rows), max(rows))
     return {"params": params, "kparams": kp, "a": a, "lambda": lam,
             "rows": rows, "Lambda_a": kp.lambda_a(a)}
 

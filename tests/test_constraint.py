@@ -13,7 +13,6 @@ from aqrm.constraint import (
     CrossingRecord,
     constraint_poly,
     constraint_poly_at,
-    continuant,
     find_crossings,
     kernel_vector,
     refine_crossing,
@@ -82,7 +81,6 @@ def test_tridiag_examples():
     det = (spec.diag[0] * (spec.diag[1] * spec.diag[2]
                            - spec.sup[1] * spec.sub[1])
            - spec.sup[0] * spec.sub[0] * spec.diag[2])
-    assert det == continuant(ConstraintFamily(2, 0), 2)
     assert det == -D * constraint_poly(ConstraintFamily(2, 0), 2)
 
 
@@ -103,7 +101,6 @@ def test_continuant_matches_polynomial():
                 for k in range(N + 1):
                     scale = BivarPoly.const((-1) ** k) * -D
                     det = tridiag_det(tridiag_matrix(fam, k))
-                    assert det == continuant(fam, k)
                     assert det == scale * constraint_poly(fam, k)
 
 
@@ -199,15 +196,41 @@ def test_kernel_vector_refined_root_and_two_sided_agreement():
         lo, hi = refine_isolated(p, rec.root_interval, Fraction(1, 10**12))
         x = float((lo + hi) / 2)
         fam = ConstraintFamily(2, 1)
-        top = kernel_vector(fam, d, x, seed="top")
-        bottom = kernel_vector(fam, d, x, seed="bottom")
-        assert residual_ratio(fam, d, x, top) < 1e-8
-        assert residual_ratio(fam, d, x, bottom) < 1e-8
-        top = np.asarray(top)
-        bottom = np.asarray(bottom)
-        if float(top @ bottom) < 0:
-            bottom = -bottom
-        assert np.max(np.abs(top - bottom)) < 1e-6
+        assert residual_ratio(fam, d, x, kernel_vector(fam, d, x)) < 1e-8
+
+
+def backward_kernel(m):
+    """Kernel vector by the three-term recurrence run up from the last row."""
+    n = len(m) - 1
+    v = np.zeros(n + 1)
+    v[n] = 1.0
+    for r in range(n, 0, -1):
+        upper = m[r, r + 1] * v[r + 1] if r < n else 0.0
+        if m[r, r - 1] == 0.0:
+            # plain row 1 has a zero sub-diagonal entry; row 0 fixes v[0]
+            v[0] = -m[0, 1] * v[1] / m[0, 0]
+            break
+        v[r - 1] = -(m[r, r] * v[r] + upper) / m[r, r - 1]
+    return v / np.linalg.norm(v)
+
+
+def test_kernel_vector_every_refined_root_to_level_18():
+    width = Fraction(1, 10**14)
+    for N in (10, 14, 18):
+        for two_eps in (0, 1):
+            for d in (Fraction(1), Fraction(7, 3)):
+                for variant in (PLAIN, TILDE):
+                    fam = ConstraintFamily(N, two_eps, variant)
+                    plain_eps = two_eps if variant == PLAIN else -two_eps
+                    for rec in find_crossings(N, plain_eps, d, width):
+                        x = float(rec.x_root)
+                        v = np.asarray(kernel_vector(fam, d, x))
+                        assert residual_ratio(fam, d, x, v) < 1e-10
+                        m = tridiag_matrix(fam, N).dense(Fraction(x), d)
+                        w = backward_kernel(m)
+                        assert min(np.max(np.abs(v - w)),
+                                   np.max(np.abs(v + w))) < 1e-8, (
+                            N, two_eps, d, variant, x)
 
 
 def test_kernel_vector_tilde_variant():

@@ -274,3 +274,9 @@ def test_refine_isolated_half_open_contract():
     for interval in ((0, 4), (1, 2), (3, 4), (3, 1)):
         with pytest.raises(ValueError):
             refine_isolated(p, interval, Fraction(1, 1000))
+    # a degenerate interval is accepted only at an exact root
+    assert refine_isolated(p, (3, 3), Fraction(1, 1000)) == (3, 3)
+    q = UniPoly([-2, 0, 1])  # t^2 - 2
+    for poly, interval in ((q, (5, 5)), (q, (5, 6)), (UniPoly([]), (0, 0))):
+        with pytest.raises(ValueError):
+            refine_isolated(poly, interval, Fraction(1, 10))

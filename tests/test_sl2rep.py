@@ -183,22 +183,7 @@ def test_intertwiner_examples():
 
 def test_eigenproblem_window_guard():
     with pytest.raises(ValueError):
-        eigenproblem_window(2, 0, PLAIN, Fraction(1, 4), Fraction(1, 2),
-                            margin=-1)
-    with pytest.raises(ValueError):
         eigenproblem_window(2, 0, "neither", Fraction(1, 4), Fraction(1, 2))
-    # exact operators read entries by weight, so the margin does not change
-    # the block: margin 0 gives the same pi(K) - Lambda_a block as margin 3
-    for variant in (PLAIN, TILDE):
-        blocks = []
-        for margin in (0, 3):
-            data = eigenproblem_window(3, 1, variant, Fraction(1, 4),
-                                       Fraction(1, 2), margin=margin)
-            op = assemble_K(data["params"], data["kparams"]) - identity_op(
-                data["params"], data["Lambda_a"])
-            blocks.append([[op.entry(r, c) for c in data["rows"]]
-                           for r in data["rows"]])
-        assert blocks[0] == blocks[1]
 
 
 def test_block_matches_tridiagonal_sampled():
