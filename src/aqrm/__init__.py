@@ -42,16 +42,32 @@ from .sl2rep import (
     reduction_kparams,
     rep_generator,
 )
-from .spectrum import (
-    CrossingObservation,
-    ModelParams,
-    SpectralSweep,
-    build_hamiltonian,
-    confirm_crossing,
-    sweep,
-    truncated_spectrum,
-)
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+#: served from the floating-point layer on first access (PEP 562), so that
+#: importing the package, or any exact layer, does not load numpy
+_SPECTRUM_NAMES = (
+    "CrossingObservation",
+    "ModelParams",
+    "SpectralSweep",
+    "build_hamiltonian",
+    "confirm_crossing",
+    "sweep",
+    "truncated_spectrum",
+)
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")]
+                 + ["spectrum", *_SPECTRUM_NAMES])
+
+
+def __getattr__(name):
+    if name in _SPECTRUM_NAMES:
+        from . import spectrum
+
+        return getattr(spectrum, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_SPECTRUM_NAMES))

@@ -3,8 +3,9 @@
 Every computation and verification in the library is exposed as a
 subcommand emitting machine-readable output (JSON or CSV). Exit codes:
 0 success/verified, 2 verification failure, 1 usage error. Rational flags
-accept "p/q" strings so exact code paths never round; the Fock cutoff for
-numeric checks defaults to AQRM_NMAX from the environment when set.
+accept "p/q" strings so exact code paths never round. Only the commands that
+diagonalize (crossings --confirm, sweep) load numpy, and only they read
+AQRM_NMAX, the default Fock cutoff when --n-max is not given.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import constraint, gfunction, heun, sl2rep, spectrum
+from . import constraint, gfunction, heun, sl2rep
 from .exactpoly import isolate_positive_roots, to_fraction
 
 DEFAULT_PRECISION = Fraction(1, 10**12)
@@ -46,8 +47,19 @@ class RunConfig:
     seed: int
 
 
-def _default_nmax() -> int:
-    return int(os.environ.get("AQRM_NMAX", spectrum.DEFAULT_NMAX))
+def _n_max(args) -> int:
+    """Fock cutoff: --n-max, else AQRM_NMAX, else spectrum.DEFAULT_NMAX."""
+    if args.n_max is not None:
+        return args.n_max
+    raw = os.environ.get("AQRM_NMAX")
+    if raw is None:
+        from .spectrum import DEFAULT_NMAX
+
+        return DEFAULT_NMAX
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"AQRM_NMAX must be an integer, got {raw!r}") from None
 
 
 def _emit(cfg: RunConfig, text: str) -> None:
@@ -98,12 +110,16 @@ def _cmd_roots(cfg: RunConfig, args) -> int:
 def _cmd_crossings(cfg: RunConfig, args) -> int:
     records = constraint.find_crossings(args.N, args.two_eps, args.delta2,
                                         args.precision)
+    if args.confirm:
+        from . import spectrum
+
+        n_max = _n_max(args)
     payload, code = [], EXIT_OK
     for rec in records:
         row = json.loads(rec.to_json())
         if args.confirm:
             try:
-                obs = spectrum.confirm_crossing(rec, n_max=args.n_max)
+                obs = spectrum.confirm_crossing(rec, n_max=n_max)
                 row["gap"] = obs.gap
                 row["lambda_observed"] = obs.lambda_star
             except ValueError as exc:
@@ -257,9 +273,11 @@ def _cmd_gfunction(cfg: RunConfig, args) -> int:
 def _cmd_sweep(cfg: RunConfig, args) -> int:
     if args.steps < 2:
         raise ValueError("--steps must be >= 2")
+    from . import spectrum
+
     grid = [args.g_min + (args.g_max - args.g_min) * i / (args.steps - 1)
             for i in range(args.steps)]
-    sw = spectrum.sweep(args.delta, args.eps, grid, n_max=args.n_max)
+    sw = spectrum.sweep(args.delta, args.eps, grid, n_max=_n_max(args))
     if cfg.format == "json":
         _emit(cfg, json.dumps({
             "delta": sw.delta, "eps": sw.eps, "n_max": sw.n_max,
@@ -286,7 +304,7 @@ def build_parser() -> _Parser:
     """The command-line parser, built once per process.
 
     Parsing leaves it unchanged (every default is immutable and AQRM_NMAX
-    is read in main), and building it costs about 1.7 ms per call.
+    is read by the handlers), and building it costs about 1.7 ms per call.
     """
     parser = _Parser(prog="aqrm", description=__doc__)
     subs = parser.add_subparsers(dest="subcommand", required=True)
@@ -385,8 +403,6 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "n_max", None) is None and hasattr(args, "n_max"):
-        args.n_max = _default_nmax()
     cfg = RunConfig(subcommand=args.subcommand, format=args.format,
                     out=args.out, seed=args.seed)
     try:

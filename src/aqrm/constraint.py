@@ -15,12 +15,13 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .exactpoly import (BivarPoly, UniPoly, isolate_positive_roots,
                         poly_div_x, refine_isolated, to_fraction)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PLAIN = "plain"
 TILDE = "tilde"
@@ -132,6 +133,8 @@ class TridiagSpec:
 
     def dense(self, x_value, d_value) -> np.ndarray:
         """The matrix at (x, d) as floats."""
+        import numpy as np  # deferred, so the exact layer never loads numpy
+
         return np.array(self.at(x_value, d_value), dtype=float)
 
 
@@ -251,6 +254,8 @@ def kernel_vector(fam: ConstraintFamily, d_value, x_value: float) -> list[float]
     ValueError when the residual shows x_value is not a root to working
     precision.
     """
+    import numpy as np
+
     d_value = to_fraction(d_value)
     x = float(x_value)
     if x <= 0 or d_value <= 0:

@@ -312,7 +312,8 @@ class UniPoly:
 # "Efficient isolation of polynomial's real roots", 2004). Each cell (lo, hi)
 # carries a positive multiple of s(lo + (hi - lo) t) with int coefficients,
 # s the square-free part of p, so the sign pattern of a cell is exact integer
-# arithmetic; once a cell holds one root it is bisected on the sign of s alone.
+# arithmetic; once a cell holds one root it is bisected on the sign of its
+# cell polynomial alone, at dyadic points of the cell.
 
 #: primes for the square-free certificate (gcd(s, s') computed modulo one)
 _CERT_PRIMES = (2**61 - 1, 2**89 - 1, 2**107 - 1)
@@ -477,7 +478,7 @@ def isolate_positive_roots(p: UniPoly, precision) -> list[tuple[Fraction, Fracti
             if not right[0] or hi - lo <= precision:
                 count = _roots_in_cell(q)
         if count == 1:
-            found.append(_refine(s, lo, hi, precision))
+            found.append(_refine(q, lo, hi, precision))
         if count < 2:
             continue
         mid = (lo + hi) / 2
@@ -493,21 +494,37 @@ def isolate_positive_roots(p: UniPoly, precision) -> list[tuple[Fraction, Fracti
     return sorted(found)
 
 
-def _refine(s: list[int], lo: Fraction, hi: Fraction,
+def _refine(q: list[int], lo: Fraction, hi: Fraction,
             precision: Fraction) -> tuple[Fraction, Fraction]:
-    """Halve (lo, hi], which holds exactly one root of the square-free s."""
-    sign_hi = _sign_at(s, hi)
-    while hi - lo > precision:
-        mid = (lo + hi) / 2
-        sign_mid = _sign_at(s, mid)
-        if not sign_mid:
+    """Halve (lo, hi], which holds exactly one root of its cell polynomial q.
+
+    After k halvings the cell is (a, a + 1] / 2^k in t, x = lo + (hi - lo) t.
+    Its midpoint t = m / 2^k, m = 2a + 1, is tested by the sign of
+    2^(kn) q(m / 2^k), an integer Horner sum with shifts; Fractions are formed
+    only for the result.
+    """
+    width = hi - lo
+    ratio = width / precision
+    num, den = ratio.numerator, ratio.denominator
+    steps = max(0, num.bit_length() - den.bit_length())
+    while num > den << steps:
+        steps += 1  # the fewest halvings that bring the width to precision
+    n = len(q) - 1
+    total = sum(q)  # q(1), the sign at hi
+    sign_hi = (total > 0) - (total < 0)
+    a = 0
+    for k in range(1, steps + 1):
+        m = 2 * a + 1
+        acc = q[-1]
+        for i in range(n - 1, -1, -1):
+            acc = acc * m + (q[i] << k * (n - i))
+        if not acc:
             # the midpoint is the root itself; collapse onto it
+            mid = lo + width * Fraction(m, 1 << k)
             return (mid, mid)
-        if sign_mid == sign_hi:
-            hi = mid
-        else:
-            lo = mid
-    return (lo, hi)
+        a = 2 * a if (acc > 0) - (acc < 0) == sign_hi else m
+    cell = width / (1 << steps)
+    return (lo + a * cell, lo + (a + 1) * cell)
 
 
 def refine_isolated(p: UniPoly, interval: tuple, precision) -> tuple[Fraction, Fraction]:
@@ -517,11 +534,16 @@ def refine_isolated(p: UniPoly, interval: tuple, precision) -> tuple[Fraction, F
         return (lo, hi)
     if p.is_zero() or lo >= hi:
         raise ValueError("interval does not isolate exactly one root")
+    precision = to_fraction(precision)
+    if precision <= 0:
+        raise ValueError("precision must be positive")
     s = _square_free(_integer_coeffs(p.coeffs))
-    if len(s) <= 1 or (_roots_in_cell(_cell_poly(s, lo, hi))
-                       + (not _sign_at(s, hi))) != 1:
+    if len(s) <= 1:
         raise ValueError("interval does not isolate exactly one root")
-    return _refine(s, lo, hi, to_fraction(precision))
+    q = _cell_poly(s, lo, hi)
+    if _roots_in_cell(q) + (not _sign_at(s, hi)) != 1:
+        raise ValueError("interval does not isolate exactly one root")
+    return _refine(q, lo, hi, precision)
 
 
 def positive_root_count(p: UniPoly) -> int:

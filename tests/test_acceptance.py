@@ -175,6 +175,13 @@ def test_criterion_06_block_equals_tridiagonal_all_families():
                         else:
                             want = Fraction(0)
                         assert block[r][c] == want, (N, variant, two_eps, r, c)
+                # independent of TridiagSpec: exact determinant against the
+                # recurrence-built P_N, det = (-1)^N (-d) P_N(4 g^2, d)
+                want_det = (-1) ** N * -d * constraint.constraint_poly(
+                    ConstraintFamily(N, two_eps, variant), N).evaluate(x, d)
+                assert sympy.Matrix(block).det() == sympy.Rational(
+                    want_det.numerator, want_det.denominator), (N, variant,
+                                                                two_eps)
     print("criterion 6: PASS (exact F-block match, both variants, N<=8)")
 
 

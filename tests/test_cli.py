@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import aqrm
 from aqrm.cli import main
 
 
@@ -174,3 +179,66 @@ def test_nmax_env_override(capsys, monkeypatch):
                     "--delta2", "1/2", "--confirm")
     assert code == 0
     assert json.loads(out.strip())["gap"] < 1e-7
+
+
+def test_nmax_env_ignored_without_diagonalization(capsys, monkeypatch):
+    # plain crossings never diagonalizes, so it never reads AQRM_NMAX
+    monkeypatch.setenv("AQRM_NMAX", "abc")
+    code, out = run(capsys, "crossings", "--N", "2", "--delta2", "1/2")
+    assert code == 0
+    assert len(out.strip().split("\n")) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("crossings", "--N", "2", "--delta2", "1/2", "--confirm"),
+    ("sweep", "--delta", "0.5", "--g-min", "0.1", "--g-max", "0.3",
+     "--steps", "3"),
+])
+def test_malformed_nmax_env_is_usage_error(capsys, monkeypatch, argv):
+    monkeypatch.setenv("AQRM_NMAX", "abc")
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"aqrm {argv[0]}: ")
+    assert "AQRM_NMAX" in captured.err
+
+
+#: every subcommand that needs no diagonalization, with arguments
+EXACT_ONLY = [
+    ["poly", "--N", "2", "--two-eps", "1", "--k", "2"],
+    ["roots", "--N", "2", "--two-eps", "1", "--d", "1/4"],
+    ["crossings", "--N", "2", "--delta2", "1/2"],
+    ["verify-identity", "--N", "3"],
+    ["verify-conjecture", "--N", "2", "--ell", "1"],
+    ["rep-check", "--trials", "1"],
+    ["heun-check", "--which", "1", "--lambda=-3/2", "--g2", "1/2", "--d", "1"],
+    ["gfunction", "--N", "1", "--delta", "1.5", "--g", "0.5"],
+    ["gfunction", "--N", "1", "--delta", "1.5", "--g-min", "0.2",
+     "--g-max", "1.5"],
+]
+
+_FRESH_EXACT_RUN = """
+import contextlib, io, json, sys
+from aqrm.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+assert "numpy" not in sys.modules, "an exact-only subcommand loaded numpy"
+import aqrm
+from aqrm import ModelParams, confirm_crossing, sweep
+assert {"ModelParams", "confirm_crossing", "sweep"} <= set(aqrm.__all__)
+assert sweep is aqrm.spectrum.sweep
+"""
+
+
+def test_exact_subcommands_do_not_load_numpy():
+    src = str(Path(aqrm.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("AQRM_NMAX", None)
+    child = subprocess.run(
+        [sys.executable, "-c", _FRESH_EXACT_RUN, json.dumps(EXACT_ONLY)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr

@@ -280,3 +280,9 @@ def test_refine_isolated_half_open_contract():
     for poly, interval in ((q, (5, 5)), (q, (5, 6)), (UniPoly([]), (0, 0))):
         with pytest.raises(ValueError):
             refine_isolated(poly, interval, Fraction(1, 10))
+    # a width that bisection can never reach is refused, not looped on
+    for precision in (0, Fraction(-1, 10)):
+        with pytest.raises(ValueError):
+            refine_isolated(q, (1, 2), precision)
+    # a midpoint that is the root collapses the interval onto it
+    assert refine_isolated(p, (0, 2), Fraction(1, 1000)) == (1, 1)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 from aqrm.constraint import (
     PLAIN,
@@ -208,6 +209,12 @@ def test_block_matches_tridiagonal_sampled():
                 else:
                     want = Fraction(0)
                 assert block[r][c] == want
+        # an oracle sharing no code with TridiagSpec: the exact determinant
+        # against the recurrence-built P_N, det = (-1)^N (-d) P_N(4 g^2, d)
+        want_det = (-1) ** N * -d * constraint_poly(
+            ConstraintFamily(N, two_eps, variant), N).evaluate(x, d)
+        assert sympy.Matrix(block).det() == sympy.Rational(
+            want_det.numerator, want_det.denominator)
 
 
 def test_block_kernel_matches_constraint_kernel():
