@@ -52,19 +52,23 @@ class ConstraintFamily:
         return Fraction(self.two_eps, 2)
 
 
-def _poly_sequence(N: int, two_eps_eff: int, k_max: int) -> list[BivarPoly]:
+def _poly_sequence(N: int, two_eps_eff: int, k_max: int,
+                   ring: tuple | None = None, q: int = 1) -> list:
     """P_0..P_k_max by the three-term recurrence.
 
     P_0 = 1 and
     P_k = [k x + d - k^2 - k*two_eps_eff] P_{k-1} - k(k-1)(N-k+1) x P_{k-2};
-    the tilde variant is this recurrence with two_eps_eff negated.
+    the tilde variant is this recurrence with two_eps_eff negated. The terms
+    are BivarPolys unless ring = (one, x, d) says otherwise; with
+    (1, q x, p) as UniPolys and q scaling the constant and back terms, they
+    are Q_k = q^k P_k(x, p/q), the int polynomials at d = p/q.
     """
-    x, d = BivarPoly.x(), BivarPoly.d()
-    seq = [BivarPoly.const(1)]
-    prev2 = BivarPoly.zero()
+    one, x, d = ring or (BivarPoly.const(1), BivarPoly.x(), BivarPoly.d())
+    seq = [one]
+    prev2 = 0 * one
     for k in range(1, k_max + 1):
-        head = k * x + d - BivarPoly.const(k * k + k * two_eps_eff)
-        p = head * seq[-1] - (k * (k - 1) * (N - k + 1)) * x * prev2
+        head = k * x + d - (q * (k * k + k * two_eps_eff)) * one
+        p = head * seq[-1] - (q * k * (k - 1) * (N - k + 1)) * x * prev2
         prev2 = seq[-1]
         seq.append(p)
     return seq
@@ -84,28 +88,14 @@ def constraint_poly(fam: ConstraintFamily, k: int) -> BivarPoly:
 def constraint_poly_at(fam: ConstraintFamily, k: int, d_value) -> UniPoly:
     """q^k P_k(x, p/q) for d = p/q in lowest terms, with int coefficients.
 
-    The recurrence of _poly_sequence at fixed d, multiplied through by q^k:
-    Q_k = [q k x + p - q(k^2 + k*two_eps_eff)] Q_{k-1}
-          - q^2 k(k-1)(N-k+1) x Q_{k-2}.
     A positive multiple of constraint_poly(fam, k).specialize(d_value), so
     its roots and Cauchy bound are the same.
     """
     eff = _effective_two_eps(fam, k)
     d_value = to_fraction(d_value)
-    num, den = d_value.numerator, d_value.denominator
-    prev2: list[int] = []
-    prev = [1]
-    for j in range(1, k + 1):
-        const = num - den * (j * j + j * eff)
-        lin = den * j
-        back = den * den * j * (j - 1) * (fam.N - j + 1)
-        cur = [const * c for c in prev] + [0]
-        for i, c in enumerate(prev):
-            cur[i + 1] += lin * c
-        for i, c in enumerate(prev2):
-            cur[i + 1] -= back * c
-        prev2, prev = prev, cur
-    return UniPoly(prev)
+    p, q = d_value.numerator, d_value.denominator
+    ring = (UniPoly([1]), UniPoly([0, q]), UniPoly([p]))
+    return _poly_sequence(fam.N, eff, k, ring, q)[k]
 
 
 @dataclass(frozen=True)

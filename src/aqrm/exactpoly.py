@@ -3,8 +3,9 @@
 Everything downstream that claims an identity holds "exactly" routes through
 this module: bivariate polynomials in the coupling variable x = (2g)^2 and the
 level-splitting variable d = Delta^2 with Fraction coefficients, univariate
-specializations, exact division along x, and isolation of positive real
-roots by Descartes' rule of signs on integer polynomials.
+polynomials whose coefficients are exact rationals (int where integral,
+Fraction otherwise, never float), exact division along x, and isolation of
+positive real roots by Descartes' rule of signs on integer polynomials.
 """
 from __future__ import annotations
 
@@ -23,6 +24,14 @@ def to_fraction(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"cannot build an exact rational from {value!r}")
+
+
+def to_exact(value) -> int | Fraction:
+    """Like to_fraction, but an integral value comes back as int."""
+    if type(value) is int:
+        return value
+    value = to_fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 class BivarPoly:
@@ -121,12 +130,10 @@ class BivarPoly:
         """Degree in x; -1 for the zero polynomial."""
         return max((i for (i, _) in self.terms), default=-1)
 
-    def coeff_in_d(self, i: int) -> dict[int, Fraction]:
-        """Coefficient of x^i as a map j -> coefficient of d^j."""
-        return {j: c for (ii, j), c in self.terms.items() if ii == i}
-
     def leading_x_coeff(self) -> dict[int, Fraction]:
-        return self.coeff_in_d(self.deg_x())
+        """Coefficient of the top power of x as a map j -> coefficient of d^j."""
+        n = self.deg_x()
+        return {j: c for (i, j), c in self.terms.items() if i == n}
 
     def has_integer_coeffs(self) -> bool:
         return all(c.denominator == 1 for c in self.terms.values())
@@ -215,8 +222,8 @@ def poly_div_x(num: BivarPoly, den: BivarPoly) -> tuple[BivarPoly, BivarPoly]:
     rem = num
     while not rem.is_zero() and rem.deg_x() >= dn:
         rdeg = rem.deg_x()
-        factor = BivarPoly({(rdeg - dn, j): c / lead
-                            for j, c in rem.coeff_in_d(rdeg).items()})
+        factor = BivarPoly({(i - dn, j): c / lead
+                            for (i, j), c in rem.terms.items() if i == rdeg})
         quot = quot + factor
         rem = rem - factor * den
     return quot, rem
@@ -225,12 +232,16 @@ def poly_div_x(num: BivarPoly, den: BivarPoly) -> tuple[BivarPoly, BivarPoly]:
 # -- univariate layer ---------------------------------------------------------
 
 class UniPoly:
-    """Univariate polynomial with Fraction coefficients, ascending degree."""
+    """Univariate polynomial, ascending degree, with exact rational coefficients.
+
+    A coefficient is stored as int when it is integral and as Fraction
+    otherwise, so a polynomial built from ints computes in ints.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable):
-        cs = [to_fraction(c) for c in coeffs]
+        cs = [to_exact(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -241,15 +252,19 @@ class UniPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __call__(self, point) -> Fraction:
-        pt = to_fraction(point)
-        total = Fraction(0)
+    def __call__(self, point) -> int | Fraction:
+        pt = to_exact(point)
+        total = 0
         for c in reversed(self.coeffs):
             total = total * pt + c
         return total
 
     def derivative(self) -> "UniPoly":
         return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+
+    def shift(self, c) -> "UniPoly":
+        """The polynomial t -> p(t + c)."""
+        return UniPoly(_shift(self.coeffs, c))
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
         a, b = self.coeffs, other.coeffs
@@ -267,9 +282,9 @@ class UniPoly:
         return UniPoly([-c for c in self.coeffs])
 
     def __mul__(self, other) -> "UniPoly":
-        if isinstance(other, (int, Fraction)):
-            return UniPoly([to_fraction(other) * c for c in self.coeffs])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs))
+        if not isinstance(other, UniPoly):
+            return UniPoly([other * c for c in self.coeffs])
+        out = [0] * (len(self.coeffs) + len(other.coeffs))
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -292,9 +307,9 @@ class UniPoly:
         rem = list(self.coeffs)
         dn = den.degree()
         lead = den.coeffs[-1]
-        quot = [Fraction(0)] * max(0, len(rem) - dn)
+        quot = [0] * max(0, len(rem) - dn)
         for k in range(len(rem) - dn - 1, -1, -1):
-            c = rem[k + dn] / lead
+            c = Fraction(rem[k + dn], lead)
             quot[k] = c
             if c:
                 for i, b in enumerate(den.coeffs):
@@ -321,9 +336,8 @@ _CERT_PRIMES = (2**61 - 1, 2**89 - 1, 2**107 - 1)
 
 def _integer_coeffs(coeffs) -> list[int]:
     """Primitive int coefficients of a positive multiple of the polynomial."""
-    fracs = [to_fraction(c) for c in coeffs]
-    den = math.lcm(*(c.denominator for c in fracs))
-    ints = [c.numerator * (den // c.denominator) for c in fracs]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
     content = math.gcd(*ints)
     return [c // content for c in ints]
 
@@ -369,17 +383,7 @@ def _square_free(a: list[int]) -> list[int]:
     return _integer_coeffs(divmod(UniPoly(a), g)[0].coeffs)
 
 
-def _sign_at(s: list[int], point: Fraction) -> int:
-    """Sign of s(point), by integer homogeneous Horner."""
-    u, v = point.numerator, point.denominator
-    acc, vpow = s[-1], 1
-    for c in reversed(s[:-1]):
-        vpow *= v
-        acc = acc * u + c * vpow
-    return (acc > 0) - (acc < 0)
-
-
-def _shift(a: list[int], c: int) -> list[int]:
+def _shift(a: Iterable, c: int) -> list:
     """Coefficients of a(t + c), by the classical Taylor-shift scheme."""
     a = list(a)
     n = len(a) - 1
@@ -430,8 +434,7 @@ def _roots_in_cell(q: list[int]) -> int:
 
 
 def cauchy_bound(p: UniPoly) -> Fraction:
-    lead = abs(p.coeffs[-1])
-    return 1 + max(abs(c) for c in p.coeffs) / lead
+    return 1 + Fraction(max(abs(c) for c in p.coeffs), abs(p.coeffs[-1]))
 
 
 def _positive_part(p: UniPoly) -> list[int]:
@@ -486,7 +489,7 @@ def isolate_positive_roots(p: UniPoly, precision) -> list[tuple[Fraction, Fracti
             stack += [(lo, mid, left), (mid, hi, right)]
             continue
         step = (hi - lo) / 4
-        while not _sign_at(s, mid):
+        while not p(mid):
             step /= 2
             mid += step
         stack += [(lo, mid, _cell_poly(s, lo, mid)),
@@ -541,7 +544,7 @@ def refine_isolated(p: UniPoly, interval: tuple, precision) -> tuple[Fraction, F
     if len(s) <= 1:
         raise ValueError("interval does not isolate exactly one root")
     q = _cell_poly(s, lo, hi)
-    if _roots_in_cell(q) + (not _sign_at(s, hi)) != 1:
+    if _roots_in_cell(q) + (not p(hi)) != 1:
         raise ValueError("interval does not isolate exactly one root")
     return _refine(q, lo, hi, precision)
 

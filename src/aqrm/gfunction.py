@@ -93,6 +93,8 @@ class GValue:
 
 def _g_series(N: int, g: float, delta: float, tol: float, sign: int) -> GValue:
     """Shared series evaluator; sign=+1 gives G+, sign=-1 gives G-."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
     if delta == 0.0:
         raise ValueError("delta must be nonzero")
     if g < 0.0:
@@ -144,6 +146,8 @@ def g_minus(N: int, g: float, delta: float, tol: float = 1e-12) -> GValue:
 def phi_one(N: int, g: float, delta: float, x: float,
             tol: float = 1e-15) -> float:
     """The exceptional Frobenius solution phi_1 evaluated for |x| < 1."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
     if not abs(x) < 1:
         raise ValueError("the series only converges for |x| < 1")
     total = (N + 1) / delta * x**N

@@ -7,9 +7,10 @@ and an irregular one at infinity:
     y'' + { -4g^2 + A/x + B/(x-1) } y' + (C x + D)/(x(x-1)) y = 0.
 
 The four rational constants (A, B, C, D) determine everything; this module
-builds them directly from (lambda, g^2, d, eps), rebuilds them independently
-through the sl2 element K, tabulates the local exponents, and forms exact
-residuals of the underlying first-order system for polynomial trial solutions.
+builds them directly from (lambda, g^2, d, eps), rebuilds them through the sl2
+element K (A, B and C from K's parameters; D is K's constant C itself),
+tabulates the local exponents, and forms exact residuals of the underlying
+first-order system for polynomial trial solutions.
 """
 from __future__ import annotations
 
@@ -102,18 +103,19 @@ def heun_from_K(which: int, lambda_, g2, d, eps) -> HeunOp:
     Conjugating pi_a(K) - Lambda_a by the weight factor and dividing by
     x(x-1) yields a second-order operator with
         A = a/2 + alpha,  B = a/2 + 2 gamma - alpha,
-        C = -a beta,      D = lambda_a + C_K - Lambda_a,
-    which must agree coefficientwise with heun_direct.
+        C = -a beta,      D = C_K,
+    which must agree coefficientwise with heun_direct. The scalar Lambda_a
+    split off by K cancels in D, so D is K's constant C as reduction_kparams
+    sets it: only A, B and C are derived independently of heun_direct.
     """
     lam, g2 = to_fraction(lambda_), to_fraction(g2)
     d, eps = to_fraction(d), to_fraction(eps)
     kp, a = reduction_kparams(which, lam, g2, d, eps)
-    lambda_a = kp.lambda_a(a)
     return HeunOp(which=which, lambda_=lam, g2=g2, d=d, eps=eps,
                   A=a / 2 + kp.alpha,
                   B=a / 2 + 2 * kp.gamma - kp.alpha,
                   C=-a * kp.beta,
-                  D=lambda_a + kp.C - kp.lambda_a(a))
+                  D=kp.C)
 
 
 def exponents(which: int, lambda_, g2, eps) -> dict:

@@ -49,14 +49,6 @@ class RepParams:
         return self.n_max - self.n_min + 1
 
 
-def _shifted(p: UniPoly, s: int) -> UniPoly:
-    """The polynomial n -> p(n + s)."""
-    out, step = UniPoly([]), UniPoly([s, 1])
-    for c in reversed(p.coeffs):
-        out = out * step + UniPoly([c])
-    return out
-
-
 def _add_term(terms: dict[int, UniPoly], s: int, p: UniPoly) -> None:
     terms[s] = terms[s] + p if s in terms else p
 
@@ -86,7 +78,7 @@ class RepOperator:
         terms: dict[int, UniPoly] = {}
         for t, q in other.terms.items():
             for s, p in self.terms.items():
-                _add_term(terms, s + t, _shifted(p, t) * q)
+                _add_term(terms, s + t, p.shift(t) * q)
         return RepOperator(self.params, terms)
 
     def scale(self, c) -> "RepOperator":

@@ -125,6 +125,15 @@ def test_gfunction_scan_csv(capsys):
     assert len(lines) == 2 and lines[1].split(",")[4] == "plus"
 
 
+@pytest.mark.parametrize("N", ["0", "-1"])
+def test_gfunction_nonpositive_level_is_usage_error(capsys, N):
+    code = main(["gfunction", f"--N={N}", "--g", "0.5", "--delta", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "N must be >= 1" in captured.err
+
+
 def test_gfunction_missing_range_is_usage_error(capsys):
     code, _ = run(capsys, "gfunction", "--N", "1", "--delta", "0.4")
     assert code == 1

@@ -114,6 +114,7 @@ def test_constraint_poly_at_is_scaled_specialization():
         got = constraint_poly_at(fam, k, d)
         assert got == constraint_poly(fam, k).specialize(d) * d.denominator**k
         assert all(c.denominator == 1 for c in got.coeffs)
+        assert all(type(c) is int for c in got.coeffs)  # not integral Fractions
 
 
 def test_tridiag_dense_matches_entries():

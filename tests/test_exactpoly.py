@@ -137,6 +137,46 @@ def test_unipoly_basics():
     assert q * UniPoly([-1, 1]) + r == p and r.is_zero()
 
 
+def test_unipoly_keeps_ints_and_rejects_floats():
+    p = UniPoly([2, Fraction(3), Fraction(1, 2), "4/2"])
+    assert [type(c) for c in p.coeffs] == [int, int, Fraction, int]
+    assert all(type(c) is int for c in (UniPoly([1, -2]) * UniPoly([3, 4])).coeffs)
+    with pytest.raises(TypeError):
+        UniPoly([1, 0.5])
+    with pytest.raises(TypeError):
+        UniPoly([1, 2]) * 0.5
+    with pytest.raises(TypeError):
+        UniPoly([1, 2])(0.5)
+
+
+def test_unipoly_division_and_bound_stay_exact():
+    q, r = divmod(UniPoly([1, 0, 1]), UniPoly([0, 2]))
+    assert q == UniPoly([0, Fraction(1, 2)]) and r == UniPoly([1])
+    assert not any(isinstance(c, float) for c in q.coeffs + r.coeffs)
+    assert type(q.coeffs[1]) is Fraction
+    bound = cauchy_bound(UniPoly([3, 0, 2]))
+    assert type(bound) is Fraction and bound == Fraction(5, 2)
+
+
+def horner_shift(p: UniPoly, c) -> UniPoly:
+    """p(t + c) by Horner's rule in (t + c): the reference for UniPoly.shift."""
+    out = UniPoly([])
+    for coef in reversed(p.coeffs):
+        out = out * UniPoly([c, 1]) + UniPoly([coef])
+    return out
+
+
+def test_unipoly_shift_matches_horner():
+    rng = random.Random(1618)
+    for _ in range(50):
+        ints = [rng.randint(-9, 9) for _ in range(rng.randint(0, 8))]
+        fracs = [Fraction(c, rng.randint(1, 6)) for c in ints]
+        c = rng.randint(-4, 4)
+        for p in (UniPoly(ints), UniPoly(fracs)):
+            assert p.shift(c) == horner_shift(p, c)
+        assert all(type(v) is int for v in UniPoly(ints).shift(c).coeffs)
+
+
 def test_unipoly_divmod_randomized():
     rng = random.Random(31)
     for _ in range(30):

@@ -94,6 +94,13 @@ def test_g_series_validation():
         g_plus(1, -0.3, 0.4)
     with pytest.raises(ValueError):
         g_plus(1, 0.3, 0.4, tol=0.0)
+    for N in (0, -1):
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            g_plus(N, 0.5, 1.0)
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            g_minus(N, 0.5, 1.0)
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            phi_one(N, 0.5, 1.0, 0.1)
 
 
 def test_reflection_identity_bitwise():
