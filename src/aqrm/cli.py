@@ -15,7 +15,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import constraint, gfunction, heun, sl2rep
@@ -37,16 +36,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated plumbing shared by all subcommands."""
-
-    subcommand: str
-    format: str
-    out: str | None
-    seed: int
-
-
 def _n_max(args) -> int:
     """Fock cutoff: --n-max, else AQRM_NMAX, else spectrum.DEFAULT_NMAX."""
     if args.n_max is not None:
@@ -62,11 +51,11 @@ def _n_max(args) -> int:
         raise ValueError(f"AQRM_NMAX must be an integer, got {raw!r}") from None
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
+def _emit(args, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -78,36 +67,36 @@ def _json_lines(records: list[dict]) -> str:
 
 # -- subcommands ---------------------------------------------------------------
 
-def _cmd_poly(cfg: RunConfig, args) -> int:
+def _cmd_poly(args) -> int:
     fam = constraint.ConstraintFamily(args.N, args.two_eps, args.variant)
     p = constraint.constraint_poly(fam, args.k)
-    if cfg.format == "json":
-        _emit(cfg, json.dumps({
+    if args.format == "json":
+        _emit(args, json.dumps({
             "N": args.N, "two_eps": args.two_eps, "variant": args.variant,
             "k": args.k, "text": p.to_text(),
             "terms": json.loads(p.to_json())["terms"]}))
     else:
-        _emit(cfg, p.to_text())
+        _emit(args, p.to_text())
     return EXIT_OK
 
 
-def _cmd_roots(cfg: RunConfig, args) -> int:
+def _cmd_roots(args) -> int:
     fam = constraint.ConstraintFamily(args.N, args.two_eps, args.variant)
     k = args.k if args.k is not None else args.N
     intervals = isolate_positive_roots(
         constraint.constraint_poly_at(fam, k, args.d), args.precision)
-    if cfg.format == "json":
-        _emit(cfg, json.dumps({
+    if args.format == "json":
+        _emit(args, json.dumps({
             "N": args.N, "two_eps": args.two_eps, "variant": args.variant,
             "k": k, "d": str(args.d), "count": len(intervals),
             "intervals": [[str(lo), str(hi)] for lo, hi in intervals]}))
     else:
         rows = ["x_lo,x_hi"] + [f"{lo},{hi}" for lo, hi in intervals]
-        _emit(cfg, "\n".join(rows))
+        _emit(args, "\n".join(rows))
     return EXIT_OK
 
 
-def _cmd_crossings(cfg: RunConfig, args) -> int:
+def _cmd_crossings(args) -> int:
     records = constraint.find_crossings(args.N, args.two_eps, args.delta2,
                                         args.precision)
     if args.confirm:
@@ -126,8 +115,8 @@ def _cmd_crossings(cfg: RunConfig, args) -> int:
                 sys.stderr.write(f"confirmation failed: {exc}\n")
                 code = EXIT_VERIFICATION
         payload.append(row)
-    if cfg.format == "json":
-        _emit(cfg, _json_lines(payload) if payload else "")
+    if args.format == "json":
+        _emit(args, _json_lines(payload) if payload else "")
     else:
         header = "N,two_eps,d,x_lo,x_hi,g,lambda,modules,gap"
         rows = [header]
@@ -137,20 +126,20 @@ def _cmd_crossings(cfg: RunConfig, args) -> int:
                 row["x_hi"], repr(row["g"]), repr(row["lambda"]),
                 ";".join(row["modules"]),
                 "" if "gap" not in row else repr(row["gap"])]))
-        _emit(cfg, "\n".join(rows))
+        _emit(args, "\n".join(rows))
     return code
 
 
-def _cmd_verify_identity(cfg: RunConfig, args) -> int:
+def _cmd_verify_identity(args) -> int:
     fault = 0 if args.inject_fault else None
     report = constraint.verify_identity_half(args.N, fault_k=fault)
-    _emit(cfg, json.dumps(report))
+    _emit(args, json.dumps(report))
     return EXIT_OK if report["ok"] else EXIT_VERIFICATION
 
 
-def _cmd_verify_conjecture(cfg: RunConfig, args) -> int:
+def _cmd_verify_conjecture(args) -> int:
     report = constraint.verify_conjecture(args.N, args.ell)
-    _emit(cfg, json.dumps({
+    _emit(args, json.dumps({
         "N": report["N"], "ell": report["ell"],
         "remainder_zero": report["remainder_zero"],
         "integer_coeffs": report["integer_coeffs"],
@@ -205,8 +194,10 @@ def _rep_block_checks(rng: random.Random, trials: int) -> list[dict]:
     return checks
 
 
-def _cmd_rep_check(cfg: RunConfig, args) -> int:
-    rng = random.Random(cfg.seed)
+def _cmd_rep_check(args) -> int:
+    if args.trials < 0:
+        raise ValueError("--trials must be >= 0")
+    rng = random.Random(args.seed)
     checks = _rep_random_checks(rng, args.trials)
     for j in (1, 2):
         for m in (1, 2, 3):
@@ -218,16 +209,16 @@ def _cmd_rep_check(cfg: RunConfig, args) -> int:
         checks.append({"name": "intertwiner", "a": str(a), "ok": rep["ok"]})
     checks.extend(_rep_block_checks(rng, args.trials))
     ok = all(c["ok"] for c in checks)
-    _emit(cfg, json.dumps({"seed": cfg.seed, "checks": checks, "ok": ok}))
+    _emit(args, json.dumps({"seed": args.seed, "checks": checks, "ok": ok}))
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
-def _cmd_heun_check(cfg: RunConfig, args) -> int:
+def _cmd_heun_check(args) -> int:
     direct = heun.heun_direct(args.which, args.lam, args.g2, args.d, args.eps)
     from_k = heun.heun_from_K(args.which, args.lam, args.g2, args.d, args.eps)
     expo = heun.exponents(args.which, args.lam, args.g2, args.eps)
     match = direct == from_k
-    _emit(cfg, json.dumps({
+    _emit(args, json.dumps({
         "op": json.loads(direct.to_json()),
         "reduction_matches": match,
         "exponents": {
@@ -238,12 +229,12 @@ def _cmd_heun_check(cfg: RunConfig, args) -> int:
     return EXIT_OK if match else EXIT_VERIFICATION
 
 
-def _cmd_gfunction(cfg: RunConfig, args) -> int:
+def _cmd_gfunction(args) -> int:
     if args.g is not None:
         gp = gfunction.g_plus(args.N, args.g, args.delta, args.tol)
         gm = gfunction.g_minus(args.N, args.g, args.delta, args.tol)
-        if cfg.format == "json":
-            _emit(cfg, json.dumps({
+        if args.format == "json":
+            _emit(args, json.dumps({
                 "N": args.N, "delta": args.delta, "g": args.g,
                 "G_plus": vars(gp), "G_minus": vars(gm)}))
         else:
@@ -251,14 +242,14 @@ def _cmd_gfunction(cfg: RunConfig, args) -> int:
             for name, gv in (("plus", gp), ("minus", gm)):
                 rows.append(f"{name},{gv.value!r},{gv.n_stop},"
                             f"{gv.tail_bound!r},{gv.converged}")
-            _emit(cfg, "\n".join(rows))
+            _emit(args, "\n".join(rows))
         return EXIT_OK
     if args.g_min is None or args.g_max is None:
         raise ValueError("need either --g or both --g-min and --g-max")
     roots = gfunction.find_exceptional(args.N, args.delta,
                                        (args.g_min, args.g_max), args.tol)
-    if cfg.format == "json":
-        _emit(cfg, _json_lines([{
+    if args.format == "json":
+        _emit(args, _json_lines([{
             "N": r.N, "delta": r.delta, "g_root": r.g_root,
             "lambda": r.lambda_, "parity": r.parity,
             "G_residual": r.residual} for r in roots]) if roots else "")
@@ -266,11 +257,11 @@ def _cmd_gfunction(cfg: RunConfig, args) -> int:
         rows = ["N,delta,g_root,lambda,parity,G_residual"]
         rows += [f"{r.N},{r.delta!r},{r.g_root!r},{r.lambda_!r},"
                  f"{r.parity},{r.residual!r}" for r in roots]
-        _emit(cfg, "\n".join(rows))
+        _emit(args, "\n".join(rows))
     return EXIT_OK
 
 
-def _cmd_sweep(cfg: RunConfig, args) -> int:
+def _cmd_sweep(args) -> int:
     if args.steps < 2:
         raise ValueError("--steps must be >= 2")
     from . import spectrum
@@ -278,15 +269,15 @@ def _cmd_sweep(cfg: RunConfig, args) -> int:
     grid = [args.g_min + (args.g_max - args.g_min) * i / (args.steps - 1)
             for i in range(args.steps)]
     sw = spectrum.sweep(args.delta, args.eps, grid, n_max=_n_max(args))
-    if cfg.format == "json":
-        _emit(cfg, json.dumps({
+    if args.format == "json":
+        _emit(args, json.dumps({
             "delta": sw.delta, "eps": sw.eps, "n_max": sw.n_max,
             "g_grid": list(sw.g_grid),
             "eigenvalues": sw.table.tolist(),
             "converged": sw.converged.astype(bool).tolist(),
             "crossings": [json.loads(c.to_json()) for c in sw.crossings]}))
     else:
-        _emit(cfg, sw.to_csv())
+        _emit(args, sw.to_csv())
     return EXIT_OK
 
 
@@ -403,15 +394,13 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig(subcommand=args.subcommand, format=args.format,
-                    out=args.out, seed=args.seed)
     try:
-        return args.handler(cfg, args)
+        return args.handler(args)
     except ValueError as exc:
-        sys.stderr.write(f"aqrm {cfg.subcommand}: {exc}\n")
+        sys.stderr.write(f"aqrm {args.subcommand}: {exc}\n")
         return EXIT_USAGE
     except RuntimeError as exc:
-        sys.stderr.write(f"aqrm {cfg.subcommand}: {exc}\n")
+        sys.stderr.write(f"aqrm {args.subcommand}: {exc}\n")
         return EXIT_VERIFICATION
 
 

@@ -135,13 +135,9 @@ def tridiag_matrix(fam: ConstraintFamily, k: int) -> TridiagSpec:
     (tilde variant) is zero; expanding the remaining k rows reproduces the
     recurrence for P_k up to the sign (-1)^k.
     """
-    if not 0 <= k <= fam.N:
-        raise ValueError(f"k={k} out of range 0..{fam.N}")
+    eff = _effective_two_eps(fam, k)
     x, d = BivarPoly.x(), BivarPoly.d()
-    sign = 1 if fam.variant == PLAIN else -1
-    diag = tuple(
-        BivarPoly.const(r * r + sign * r * fam.two_eps) - r * x - d
-        for r in range(k + 1))
+    diag = tuple(r * r + r * eff - r * x - d for r in range(k + 1))
     if fam.variant == PLAIN:
         sup = tuple((r + 1) * x for r in range(k))
         sub = tuple(BivarPoly.const((fam.N - r + 1) * (r - 1))

@@ -32,6 +32,9 @@ PATCH_X = 0.5
 #: hard cap on series length before giving up
 N_STOP_MAX = 5000
 
+#: relative size of the term at which phi_one stops summing
+PHI_TOL = 1e-15
+
 
 @dataclass(frozen=True)
 class KSeries:
@@ -95,6 +98,8 @@ def _g_series(N: int, g: float, delta: float, tol: float, sign: int) -> GValue:
     """Shared series evaluator; sign=+1 gives G+, sign=-1 gives G-."""
     if N < 1:
         raise ValueError("N must be >= 1")
+    if not all(map(math.isfinite, (g, delta, tol))):
+        raise ValueError("g, delta and tol must be finite")
     if delta == 0.0:
         raise ValueError("delta must be nonzero")
     if g < 0.0:
@@ -143,8 +148,7 @@ def g_minus(N: int, g: float, delta: float, tol: float = 1e-12) -> GValue:
     return _g_series(N, g, delta, tol, -1)
 
 
-def phi_one(N: int, g: float, delta: float, x: float,
-            tol: float = 1e-15) -> float:
+def phi_one(N: int, g: float, delta: float, x: float) -> float:
     """The exceptional Frobenius solution phi_1 evaluated for |x| < 1."""
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -157,7 +161,7 @@ def phi_one(N: int, g: float, delta: float, x: float,
     while True:
         term = -delta * k_n / (n - N) * power
         total += term
-        if abs(term) < tol * max(abs(total), tol) and n >= N + 25:
+        if abs(term) < PHI_TOL * max(abs(total), PHI_TOL) and n >= N + 25:
             return total
         if n - N >= N_STOP_MAX:
             raise RuntimeError("phi_1 series did not converge")
@@ -203,6 +207,8 @@ def find_exceptional(N: int, delta: float, g_range: tuple[float, float],
     lambda = N - g^2 and the parity of the vanishing function.
     """
     g_lo, g_hi = g_range
+    if not all(map(math.isfinite, (delta, g_lo, g_hi, tol))):
+        raise ValueError("delta, tol and the g range must be finite")
     if not 0 < g_lo < g_hi:
         raise ValueError("need 0 < g_lo < g_hi")
     if delta <= 0:

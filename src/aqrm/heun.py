@@ -49,9 +49,6 @@ class HeunOp:
             return (Fraction(0), 1 - self.B)
         raise ValueError("point must be 0 or 1")
 
-    def coefficients(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.A, self.B, self.C, self.D)
-
     def to_json(self) -> str:
         return json.dumps({
             "which": self.which,

@@ -8,8 +8,8 @@ The generators are single shifts with coefficients affine in n, and sums and
 products stay in this form. The commutation relations, the Casimir scalar and
 the mixed commutator are therefore checked as equalities of coefficient
 polynomials: they hold for every weight, not only on a window. The window in
-RepParams only chooses which matrix entries the matrix, entry and column
-views show.
+RepParams only chooses which matrix entries the matrix and entry views
+show.
 
 The module also hosts the second-order element K(alpha, beta, gamma; C) =
 [H/2 - E + alpha](F + beta) + gamma[H - 1/2] + C whose eigenvalue problem,
@@ -90,11 +90,6 @@ class RepOperator:
         """Matrix entry addressed by weight indices."""
         p = self.terms.get(n_row - n_col)
         return Fraction(0) if p is None else p(n_col)
-
-    def column(self, n: int) -> list[Fraction]:
-        """Image of e_n, restricted to the window."""
-        p = self.params
-        return [self.entry(n_row, n) for n_row in range(p.n_min, p.n_max + 1)]
 
     @property
     def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -274,19 +269,15 @@ def invariant_subspace_check(j: int, m: int) -> dict:
         report["finite_block_closed"] = _closure_ok(inner, range(-m + 1, m))
         odd = RepParams(1, Fraction(-2 * m), lo, hi)
         report["odd_block_closed"] = _closure_ok(odd, range(-m, m + 1))
-        bnd = RepParams(1, Fraction(2 * m), lo, hi)
-        report["lowest_weight_killed"] = not any(
-            rep_generator(bnd, "F").column(m))
-        report["highest_weight_killed"] = not any(
-            rep_generator(bnd, "E").column(-m))
+        bnd, edge = RepParams(1, Fraction(2 * m), lo, hi), -m
     else:
         inner = RepParams(2, Fraction(1 - 2 * m), lo, hi)
         report["finite_block_closed"] = _closure_ok(inner, range(-m, m))
-        bnd = RepParams(2, Fraction(2 * m + 1), lo, hi)
-        report["lowest_weight_killed"] = not any(
-            rep_generator(bnd, "F").column(m))
-        report["highest_weight_killed"] = not any(
-            rep_generator(bnd, "E").column(-m - 1))
+        bnd, edge = RepParams(2, Fraction(2 * m + 1), lo, hi), -m - 1
+    # F e_m and E e_edge each have a single entry, one weight down or up
+    report["lowest_weight_killed"] = not rep_generator(bnd, "F").entry(m - 1, m)
+    report["highest_weight_killed"] = not rep_generator(bnd, "E").entry(
+        edge + 1, edge)
     report["ok"] = all(v for k, v in report.items() if isinstance(v, bool))
     return report
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -26,13 +26,12 @@ ESCALATED_NMAX = 120
 CONV_MARGIN = 20
 CONV_TOL = 1e-9
 
-#: a level pair closer than this counts as a degeneracy ...
+#: a level pair closer than this counts as a degeneracy
 DEGENERACY_TOL = 1e-7
-#: ... while avoided crossings in the validated regimes stay above this floor
-AVOIDED_FLOOR = 1e-4
-#: confirm_crossing first refines a record wider in x than tol times this;
-#: the level gap grows about linearly with the width (about 1 per unit of x
-#: at N=12), and records at the CLI default width 1e-12 are never refined
+#: confirm_crossing first refines a record wider in x than DEGENERACY_TOL
+#: times this; the level gap grows about linearly with the width (about 1
+#: per unit of x at N=12), and records at the CLI default width 1e-12 are
+#: never refined
 CONFIRM_WIDTH = Fraction(1, 1000)
 
 
@@ -120,7 +119,7 @@ class SpectralSweep:
     g_grid: tuple[float, ...]
     table: np.ndarray  # shape (len(g_grid), 2*(n_max+1))
     converged: np.ndarray  # same shape, bool
-    crossings: tuple[CrossingObservation, ...] = field(default_factory=tuple)
+    crossings: tuple[CrossingObservation, ...]
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -132,8 +131,8 @@ class SpectralSweep:
         return buf.getvalue()
 
 
-def sweep(delta: float, eps: float, g_grid, n_max: int = DEFAULT_NMAX,
-          detect_tol: float = DEGENERACY_TOL) -> SpectralSweep:
+def sweep(delta: float, eps: float, g_grid,
+          n_max: int = DEFAULT_NMAX) -> SpectralSweep:
     """Tabulate the spectrum over a grid of couplings, noting degeneracies."""
     grid = tuple(float(g) for g in g_grid)
     if not grid:
@@ -144,7 +143,7 @@ def sweep(delta: float, eps: float, g_grid, n_max: int = DEFAULT_NMAX,
         rows.append(ts.eigenvalues)
         flags.append(ts.converged)
         gaps = np.diff(ts.eigenvalues)
-        for i in np.nonzero(gaps < detect_tol)[0]:
+        for i in np.nonzero(gaps < DEGENERACY_TOL)[0]:
             found.append(CrossingObservation(
                 g_star=g,
                 lambda_star=0.5 * (ts.eigenvalues[i] + ts.eigenvalues[i + 1]),
@@ -155,17 +154,18 @@ def sweep(delta: float, eps: float, g_grid, n_max: int = DEFAULT_NMAX,
                          crossings=tuple(found))
 
 
-def confirm_crossing(record: CrossingRecord, n_max: int = DEFAULT_NMAX,
-                     tol: float = DEGENERACY_TOL) -> CrossingObservation:
+def confirm_crossing(record: CrossingRecord,
+                     n_max: int = DEFAULT_NMAX) -> CrossingObservation:
     """Check a predicted exact crossing against direct diagonalization.
 
     The record pins lambda = N - g^2 + eps at g derived from the isolated
     root of the constraint polynomial; the truncated spectrum must contain
-    two eigenvalues within tol of that target and of each other. Raises
-    ValueError if it does not (wrong root, or truncation too small even
-    after escalation). A record too wide for tol is refined first.
+    two eigenvalues within DEGENERACY_TOL of that target and of each other.
+    An unconverged or missed pair is re-solved once at ESCALATED_NMAX; a
+    miss there raises ValueError (wrong root, or truncation too small). A
+    record too wide for DEGENERACY_TOL is refined first.
     """
-    precision = Fraction(tol) * CONFIRM_WIDTH
+    precision = Fraction(DEGENERACY_TOL) * CONFIRM_WIDTH
     lo, hi = record.root_interval
     if hi - lo > precision:
         record = refine_crossing(record, precision)
@@ -176,14 +176,15 @@ def confirm_crossing(record: CrossingRecord, n_max: int = DEFAULT_NMAX,
     ts = truncated_spectrum(params, n_max)
     order = np.argsort(np.abs(ts.eigenvalues - target))
     i, j = sorted((int(order[0]), int(order[1])))
-    if not (ts.converged[i] and ts.converged[j]) and n_max < ESCALATED_NMAX:
-        return confirm_crossing(record, n_max=ESCALATED_NMAX, tol=tol)
     err_i = abs(ts.eigenvalues[i] - target)
     err_j = abs(ts.eigenvalues[j] - target)
     gap = abs(ts.eigenvalues[j] - ts.eigenvalues[i])
-    if err_i > tol or err_j > tol or gap > tol:
-        if n_max < ESCALATED_NMAX:
-            return confirm_crossing(record, n_max=ESCALATED_NMAX, tol=tol)
+    missed = (err_i > DEGENERACY_TOL or err_j > DEGENERACY_TOL
+              or gap > DEGENERACY_TOL)
+    converged = ts.converged[i] and ts.converged[j]
+    if n_max < ESCALATED_NMAX and (missed or not converged):
+        return confirm_crossing(record, n_max=ESCALATED_NMAX)
+    if missed:
         raise ValueError(
             f"no degenerate pair at lambda={target}: nearest eigenvalues miss "
             f"by ({err_i:.3e}, {err_j:.3e}) with gap {gap:.3e} at n_max={n_max}")

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -59,6 +60,48 @@ def test_coarse_crossings_confirm(capsys):
     rows = [json.loads(ln) for ln in out.split("\n") if ln]
     assert len(rows) == 12
     assert all(row["gap"] < 1e-7 for row in rows)
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_roots_csv_counts_window_roots(capsys, k):
+    # d inside window k, k^2 + k*two_eps < d < (k+1)^2 + (k+1)*two_eps,
+    # leaves P_N with exactly N - k positive roots
+    N, two_eps = 4, 1
+    d = Fraction(k * k + k * two_eps + (k + 1) ** 2 + (k + 1) * two_eps, 2)
+    code, out = run(capsys, "roots", f"--N={N}", f"--two-eps={two_eps}",
+                    f"--d={d}", "--format", "csv")
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert lines[0] == "x_lo,x_hi"
+    assert len(lines) == 1 + N - k
+    for line in lines[1:]:
+        lo, hi = map(Fraction, line.split(","))
+        assert 0 < lo < hi
+
+
+def test_crossings_confirm_failure_keeps_every_record(capsys, monkeypatch):
+    from aqrm import spectrum
+
+    real = spectrum.confirm_crossing
+    calls = []
+
+    def fail_second(record, **kwargs):
+        calls.append(record)
+        if len(calls) == 2:
+            raise ValueError("injected miss")
+        return real(record, **kwargs)
+
+    monkeypatch.setattr(spectrum, "confirm_crossing", fail_second)
+    code = main(["crossings", "--N", "3", "--two-eps", "1", "--delta2", "1/2",
+                 "--confirm"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "confirmation failed: injected miss\n"
+    # no record escalates here, so each makes exactly one call
+    rows = [json.loads(ln) for ln in captured.out.split("\n") if ln]
+    assert len(rows) == len(calls) == 3
+    assert "gap" not in rows[1]
+    assert all(row["gap"] < 1e-7 for row in (rows[0], rows[2]))
 
 
 def test_crossings_csv(capsys):
@@ -164,6 +207,43 @@ def test_bad_rational_flag_usage_exit(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["roots", "--N", "1", "--d", "not-a-number"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("roots", "--N", "2", "--d", "1/0"),
+    ("crossings", "--N", "2", "--delta2", "3/0"),
+    ("heun-check", "--which", "1", "--lambda", "1/0", "--g2", "1", "--d", "1"),
+])
+def test_zero_denominator_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid to_fraction value" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("gfunction", "--N", "1", "--g", "nan", "--delta", "1"),
+    ("gfunction", "--N", "1", "--g", "inf", "--delta", "1"),
+    ("gfunction", "--N", "1", "--g", "0.5", "--delta", "nan"),
+    ("gfunction", "--N", "1", "--g", "0.5", "--delta", "1", "--tol", "nan"),
+    ("gfunction", "--N", "1", "--delta", "inf", "--g-min", "0.1",
+     "--g-max", "1"),
+    ("gfunction", "--N", "1", "--delta", "nan", "--g-min", "0.1",
+     "--g-max", "1"),
+    ("gfunction", "--N", "1", "--delta", "1", "--g-min", "0.1",
+     "--g-max", "inf"),
+    ("rep-check", "--trials=-1"),
+])
+def test_nonfinite_or_negative_input_is_usage_error(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"aqrm {argv[0]}: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_byte_identical_reruns(tmp_path, capsys):

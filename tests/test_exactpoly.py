@@ -42,6 +42,13 @@ def test_to_fraction_accepts_strings_ints_fractions():
         to_fraction(0.5)  # floats are refused: the exact layer stays exact
 
 
+def test_to_fraction_zero_denominator_is_value_error():
+    # a ValueError is what argparse turns into a usage error
+    for text in ("1/0", "-3/0", "0/0"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            to_fraction(text)
+
+
 def test_construction_drops_zero_terms():
     p = BivarPoly({(1, 0): Fraction(0), (0, 0): Fraction(2)})
     assert p == BivarPoly.const(2)

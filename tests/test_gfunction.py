@@ -103,6 +103,29 @@ def test_g_series_validation():
             phi_one(N, 0.5, 1.0, 0.1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_g_series_rejects_nonfinite_input(bad):
+    for func in (g_plus, g_minus):
+        with pytest.raises(ValueError, match="finite"):
+            func(1, bad, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            func(1, 0.5, bad)
+        with pytest.raises(ValueError, match="finite"):
+            func(1, 0.5, 1.0, tol=bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_find_exceptional_rejects_nonfinite_input(bad):
+    with pytest.raises(ValueError, match="finite"):
+        find_exceptional(1, bad, (0.1, 1.0))
+    with pytest.raises(ValueError, match="finite"):
+        find_exceptional(1, 1.0, (0.1, bad))
+    with pytest.raises(ValueError, match="finite"):
+        find_exceptional(1, 1.0, (bad, 1.0))
+    with pytest.raises(ValueError, match="finite"):
+        find_exceptional(1, 1.0, (0.1, 1.0), tol=bad)
+
+
 def test_reflection_identity_bitwise():
     for N in (1, 2):
         for g in np.linspace(0.05, 1.6, 10):
