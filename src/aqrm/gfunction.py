@@ -60,10 +60,21 @@ def _k_next(N: int, g: float, delta: float, n: int, k_n: float,
             - g2x4 * k_prev) / (n + 1)
 
 
-def k_series(N: int, g: float, delta: float, n_stop: int) -> KSeries:
-    """Forward recurrence in double precision; K_N = 0 and K_{N+1} = 1."""
+def _check_series_args(N: int, g: float, delta: float) -> None:
+    """Reject a level, coupling or tunneling no series here is defined for."""
     if N < 1:
         raise ValueError("N must be >= 1")
+    if not (math.isfinite(g) and math.isfinite(delta)):
+        raise ValueError("g and delta must be finite")
+    if delta == 0.0:
+        raise ValueError("delta must be nonzero")
+    if g < 0.0:
+        raise ValueError("g must be nonnegative")
+
+
+def k_series(N: int, g: float, delta: float, n_stop: int) -> KSeries:
+    """Forward recurrence in double precision; K_N = 0 and K_{N+1} = 1."""
+    _check_series_args(N, g, delta)
     if n_stop <= N + 1:
         raise ValueError("n_stop must exceed N + 1")
     coeffs = [0.0, 1.0]
@@ -96,16 +107,9 @@ class GValue:
 
 def _g_series(N: int, g: float, delta: float, tol: float, sign: int) -> GValue:
     """Shared series evaluator; sign=+1 gives G+, sign=-1 gives G-."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if not all(map(math.isfinite, (g, delta, tol))):
-        raise ValueError("g, delta and tol must be finite")
-    if delta == 0.0:
-        raise ValueError("delta must be nonzero")
-    if g < 0.0:
-        raise ValueError("g must be nonnegative")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    _check_series_args(N, g, delta)
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be finite and positive")
     total = -sign * 2.0 * (N + 1) / delta
     comp = 0.0  # compensated-summation carry
     k_prev, k_n = 0.0, 1.0  # K_N, K_{N+1}
@@ -150,8 +154,7 @@ def g_minus(N: int, g: float, delta: float, tol: float = 1e-12) -> GValue:
 
 def phi_one(N: int, g: float, delta: float, x: float) -> float:
     """The exceptional Frobenius solution phi_1 evaluated for |x| < 1."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    _check_series_args(N, g, delta)
     if not abs(x) < 1:
         raise ValueError("the series only converges for |x| < 1")
     total = (N + 1) / delta * x**N

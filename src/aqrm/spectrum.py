@@ -154,6 +154,13 @@ def sweep(delta: float, eps: float, g_grid,
                          crossings=tuple(found))
 
 
+def _pair_converged(params: ModelParams, n_max: int, ev: np.ndarray,
+                    pair: tuple[int, int]) -> bool:
+    """Whether the pair moves by less than CONV_TOL at n_max + CONV_MARGIN."""
+    ev_big = eigenvalues(params, n_max + CONV_MARGIN)
+    return bool(np.all(np.abs(ev[list(pair)] - ev_big[list(pair)]) < CONV_TOL))
+
+
 def confirm_crossing(record: CrossingRecord,
                      n_max: int = DEFAULT_NMAX) -> CrossingObservation:
     """Check a predicted exact crossing against direct diagonalization.
@@ -161,9 +168,12 @@ def confirm_crossing(record: CrossingRecord,
     The record pins lambda = N - g^2 + eps at g derived from the isolated
     root of the constraint polynomial; the truncated spectrum must contain
     two eigenvalues within DEGENERACY_TOL of that target and of each other.
-    An unconverged or missed pair is re-solved once at ESCALATED_NMAX; a
-    miss there raises ValueError (wrong root, or truncation too small). A
-    record too wide for DEGENERACY_TOL is refined first.
+    Below ESCALATED_NMAX a missed pair, or a hit whose pair moves by
+    CONV_TOL or more at n_max + CONV_MARGIN, is checked again at a
+    truncation CONV_MARGIN larger, up to ESCALATED_NMAX; a miss skips that
+    convergence solve. At ESCALATED_NMAX a hit is accepted without it and a
+    miss raises ValueError (wrong root, or truncation too small). A record
+    too wide for DEGENERACY_TOL is refined first.
     """
     precision = Fraction(DEGENERACY_TOL) * CONFIRM_WIDTH
     lo, hi = record.root_interval
@@ -173,22 +183,23 @@ def confirm_crossing(record: CrossingRecord,
     target = record.lambda_
     params = ModelParams(g=g_star, delta=math.sqrt(float(record.d_value)),
                          eps=record.two_eps / 2.0)
-    ts = truncated_spectrum(params, n_max)
-    order = np.argsort(np.abs(ts.eigenvalues - target))
+    ev = eigenvalues(params, n_max)
+    order = np.argsort(np.abs(ev - target))
     i, j = sorted((int(order[0]), int(order[1])))
-    err_i = abs(ts.eigenvalues[i] - target)
-    err_j = abs(ts.eigenvalues[j] - target)
-    gap = abs(ts.eigenvalues[j] - ts.eigenvalues[i])
+    err_i = abs(ev[i] - target)
+    err_j = abs(ev[j] - target)
+    gap = abs(ev[j] - ev[i])
     missed = (err_i > DEGENERACY_TOL or err_j > DEGENERACY_TOL
               or gap > DEGENERACY_TOL)
-    converged = ts.converged[i] and ts.converged[j]
-    if n_max < ESCALATED_NMAX and (missed or not converged):
-        return confirm_crossing(record, n_max=ESCALATED_NMAX)
+    if n_max < ESCALATED_NMAX and (
+            missed or not _pair_converged(params, n_max, ev, (i, j))):
+        return confirm_crossing(
+            record, n_max=min(n_max + CONV_MARGIN, ESCALATED_NMAX))
     if missed:
         raise ValueError(
             f"no degenerate pair at lambda={target}: nearest eigenvalues miss "
             f"by ({err_i:.3e}, {err_j:.3e}) with gap {gap:.3e} at n_max={n_max}")
     return CrossingObservation(
         g_star=g_star,
-        lambda_star=0.5 * float(ts.eigenvalues[i] + ts.eigenvalues[j]),
+        lambda_star=0.5 * float(ev[i] + ev[j]),
         gap=float(gap), indices=(i, j))

@@ -311,6 +311,31 @@ def test_isolation_edge_cases_follow_plain_bisection():
     p = UniPoly([-Fraction(1, 3), 1]) * UniPoly(
         [Fraction(1, 21**2) + Fraction(1, 64), -Fraction(2, 21), 1])
     assert isolate_positive_roots(p, Fraction(1, 2)) == [(0, Fraction(1, 2))]
+    # (t-1)(t-2)(t^2+1000): B = 3001, far above the largest root, so the
+    # tree starts some levels down; the cells are still those of (0, B]
+    p = UniPoly([2, -3, 1]) * UniPoly([1000, 0, 1])
+    assert isolate_positive_roots(p, Fraction(1, 1000)) == [
+        (Fraction(4192397, 4194304), Fraction(2097699, 2097152)),
+        (Fraction(8387795, 4194304), Fraction(2097699, 1048576))]
+    assert isolate_positive_roots(p, PREC) == [
+        (Fraction(4503599627367575, 4503599627370496),
+         Fraction(281474976710661, 281474976710656)),
+        (Fraction(9007199254738151, 4503599627370496),
+         Fraction(281474976710661, 140737488355328))]
+    # 1000t - 1: B = 2 and the root lies below precision/2; halving (0, 2]
+    # stops at the first cell no wider than precision, (0, 1/16], not at
+    # the power-of-two root bound 1/256
+    p = UniPoly([-1, 1000])
+    assert isolate_positive_roots(p, Fraction(1, 10)) == [(0, Fraction(1, 16))]
+    # (t - 303/1024)(t^2 + 100): B = 101 and the root is 3/128 of the
+    # one-root cell (0, B/8], a midpoint that halving meets, so the
+    # interval collapses onto it; a root at hi keeps (..., hi]
+    root = Fraction(303, 1024)
+    p = UniPoly([-root, 1]) * UniPoly([100, 0, 1])
+    assert isolate_positive_roots(p, PREC) == [(root, root)]
+    assert refine_isolated(p, (0, 1), PREC) == (root, root)
+    assert refine_isolated(p, (0, root), PREC) == (
+        Fraction(166576011607761, 562949953421312), root)
 
 
 def test_refine_isolated_half_open_contract():

@@ -101,6 +101,16 @@ def test_g_series_validation():
             g_minus(N, 0.5, 1.0)
         with pytest.raises(ValueError, match="N must be >= 1"):
             phi_one(N, 0.5, 1.0, 0.1)
+    # phi_one divides by Delta and k_series runs on unchecked input unless
+    # they make the same checks as the G-series
+    with pytest.raises(ValueError, match="nonzero"):
+        phi_one(1, 0.3, 0.0, 0.1)
+    with pytest.raises(ValueError, match="nonzero"):
+        k_series(1, 0.3, 0.0, 10)
+    with pytest.raises(ValueError, match="nonnegative"):
+        phi_one(1, -0.3, 0.4, 0.1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        k_series(1, -0.3, 0.4, 10)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -108,6 +118,16 @@ def test_g_series_rejects_nonfinite_input(bad):
     for func in (g_plus, g_minus):
         with pytest.raises(ValueError, match="finite"):
             func(1, bad, 1.0)
+    # without the check, phi_one ran 5,000 terms before a RuntimeError and
+    # k_series returned NaN coefficients
+    with pytest.raises(ValueError, match="finite"):
+        phi_one(1, bad, 1.0, 0.1)
+    with pytest.raises(ValueError, match="finite"):
+        phi_one(1, 0.3, bad, 0.1)
+    with pytest.raises(ValueError, match="finite"):
+        k_series(1, bad, 1.0, 10)
+    with pytest.raises(ValueError, match="finite"):
+        k_series(1, 0.3, bad, 10)
         with pytest.raises(ValueError, match="finite"):
             func(1, 0.5, bad)
         with pytest.raises(ValueError, match="finite"):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from aqrm import spectrum
 from aqrm.constraint import CrossingRecord, find_crossings
 from aqrm.spectrum import (
     CrossingObservation,
@@ -93,7 +94,34 @@ def test_confirm_asymmetric_crossings():
         assert obs.lambda_star == pytest.approx(rec.lambda_, abs=1e-7)
 
 
-def test_confirm_rejects_perturbed_root():
+def logged_truncations(monkeypatch) -> list[int]:
+    """Make spectrum.eigenvalues log the n_max of every solve."""
+    log = []
+
+    def logged(params, n_max):
+        log.append(n_max)
+        return eigenvalues(params, n_max)
+
+    monkeypatch.setattr(spectrum, "eigenvalues", logged)
+    return log
+
+
+def test_confirm_escalates_in_margin_steps(monkeypatch):
+    log = logged_truncations(monkeypatch)
+    # g^2 = 8.70: the pair hits at n_max 60 but moves at 80, and is
+    # converged at 80 (checked at 100)
+    rec = find_crossings(10, 3, Fraction(1, 2), PREC)[-1]
+    assert confirm_crossing(rec).gap < 1e-7
+    assert log == [60, 80, 80, 100]
+    # g^2 = 9.18: the pair misses at 60, which needs no convergence solve
+    log.clear()
+    rec = find_crossings(11, 2, Fraction(1, 2), PREC)[-1]
+    assert confirm_crossing(rec).gap < 1e-7
+    assert log == [60, 80, 100]
+
+
+def test_confirm_rejects_perturbed_root(monkeypatch):
+    log = logged_truncations(monkeypatch)
     rec = find_crossings(1, 0, Fraction(1, 2), PREC)[0]
     lo, hi = rec.root_interval
     # shift x by (1.05)^2 so g moves by 5%
@@ -103,6 +131,8 @@ def test_confirm_rejects_perturbed_root():
                           rep_pair=rec.rep_pair)
     with pytest.raises(ValueError):
         confirm_crossing(fake)
+    # a miss goes straight to the next truncation, up to the cap
+    assert log == [60, 80, 100, 120]
     # the avoided crossing at the perturbed point is wide open
     g = fake.g
     ev = eigenvalues(ModelParams(g, math.sqrt(0.5)), 60)
