@@ -330,9 +330,8 @@ class UniPoly:
 # "Efficient isolation of polynomial's real roots", 2004). Each cell (lo, hi)
 # carries a positive multiple of s(lo + (hi - lo) t) with int coefficients,
 # s the square-free part of p, so the sign pattern of a cell is exact integer
-# arithmetic; once a cell holds one root it is shrunk to the cell that
-# halving it towards the root would reach, found from the signs of its cell
-# polynomial alone at dyadic points of the cell.
+# arithmetic; once a cell holds one root it is bisected on the sign of its
+# cell polynomial alone, at dyadic points of the cell.
 
 #: primes for the square-free certificate (gcd(s, s') computed modulo one)
 _CERT_PRIMES = (2**61 - 1, 2**89 - 1, 2**107 - 1)
@@ -544,100 +543,34 @@ def isolate_positive_roots(p: UniPoly, precision) -> list[tuple[Fraction, Fracti
     return sorted(found)
 
 
-def _sign_at(q: list[int], m: int, k: int) -> int:
-    """Sign of q(m / 2^k), from the integer 2^(kn) q(m / 2^k) by Horner."""
-    n = len(q) - 1
-    acc = q[-1]
-    for i in range(n - 1, -1, -1):
-        acc = acc * m + (q[i] << k * (n - i))
-    return (acc > 0) - (acc < 0)
-
-
-def _newton_cell(q: list[int], k: int, sign_hi: int) -> int | None:
-    """A guess of the a with the root of q in (a, a + 1] / 2^k, or None.
-
-    Safeguarded Newton iteration on q over (0, 1), where q changes sign
-    once, from -sign_hi to sign_hi, in fixed point with k plus guard bits:
-    q and q' come from a Horner sum truncated after each product, and a step
-    that leaves the bracket or shrinks too slowly is replaced by bisection.
-    The guess is only a guess; the caller checks it exactly.
-    """
-    guard = (len(q) - 1).bit_length() + 8
-    bits = k + guard
-    # the coefficients keep 64 bits beyond those of x below the largest one,
-    # enough for the sign of q near its root unless cancellation eats them
-    drop = max(0, max(c.bit_length() for c in q) - bits - 64)
-    lead, *rest = [(c >> drop) << bits for c in reversed(q)]
-    lo, hi = 0, 1 << bits
-    x, last = hi >> 1, hi
-    for _ in range(2 * bits):
-        value, slope = lead, 0
-        for c in rest:
-            slope = (slope * x >> bits) + value
-            value = (value * x >> bits) + c
-        sign = (value > 0) - (value < 0)
-        if not sign:
-            break
-        if sign == sign_hi:
-            hi = x
-        else:
-            lo = x
-        # a zero slope sends the step out of the bracket
-        step = (value << bits) // slope if slope else 1 << bits
-        if abs(step) < 1 << (guard - 2):
-            x -= step
-            break
-        new = x - step
-        if not lo < new < hi or 2 * abs(step) > last:
-            new = (lo + hi) >> 1
-        last, x = abs(new - x), new
-        if last < 1 << (guard - 2):
-            break
-    else:
-        return None
-    return max(0, x - 1) >> guard
-
-
 def _refine(q: list[int], lo: Fraction, hi: Fraction,
             precision: Fraction) -> tuple[Fraction, Fraction]:
-    """Shrink (lo, hi], which holds exactly one root of its cell polynomial q.
+    """Halve (lo, hi], which holds exactly one root of its cell polynomial q.
 
-    The result is what halving the cell towards the root gives: after the
-    k halvings that bring it to precision, the cell (a, a + 1] / 2^k in t,
-    x = lo + (hi - lo) t, or (mid, mid) at the first midpoint that is the
-    root. A Newton guess of a is kept when the exact signs of q at its two
-    ends bracket the root, and a zero sign there is a root that halving
-    meets as a midpoint; otherwise the k halvings run one by one. Each sign
-    is that of the integer 2^(kn) q(m / 2^k); Fractions are formed only for
-    the result.
+    After k halvings the cell is (a, a + 1] / 2^k in t, x = lo + (hi - lo) t.
+    Its midpoint t = m / 2^k, m = 2a + 1, is tested by the sign of
+    2^(kn) q(m / 2^k), an integer Horner sum with shifts; Fractions are formed
+    only for the result.
     """
     width = hi - lo
     ratio = width / precision
+    # the fewest halvings that bring the width to precision
     steps = max(0, _ceil_log2(ratio.numerator, ratio.denominator))
-    cell = width / (1 << steps)
+    n = len(q) - 1
     total = sum(q)  # q(1), the sign at hi
     sign_hi = (total > 0) - (total < 0)
-    if not sign_hi or not steps:
-        # no halving is due, or the root is hi, right of every midpoint
-        return (hi - cell, hi)
-    a = _newton_cell(q, steps, sign_hi)
-    if a is not None:
-        ends = (_sign_at(q, a, steps) if a else -sign_hi,
-                _sign_at(q, a + 1, steps) if a + 1 < 1 << steps else sign_hi)
-        if 0 in ends:
-            root = lo + width * Fraction(a + ends.index(0), 1 << steps)
-            return (root, root)
-        if ends == (-sign_hi, sign_hi):
-            return (lo + a * cell, lo + (a + 1) * cell)
     a = 0
     for k in range(1, steps + 1):
         m = 2 * a + 1
-        sign = _sign_at(q, m, k)
-        if not sign:
+        acc = q[-1]
+        for i in range(n - 1, -1, -1):
+            acc = acc * m + (q[i] << k * (n - i))
+        if not acc:
             # the midpoint is the root itself; collapse onto it
             mid = lo + width * Fraction(m, 1 << k)
             return (mid, mid)
-        a = 2 * a if sign == sign_hi else m
+        a = 2 * a if (acc > 0) - (acc < 0) == sign_hi else m
+    cell = width / (1 << steps)
     return (lo + a * cell, lo + (a + 1) * cell)
 
 

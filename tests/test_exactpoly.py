@@ -327,6 +327,10 @@ def test_isolation_edge_cases_follow_plain_bisection():
     # the power-of-two root bound 1/256
     p = UniPoly([-1, 1000])
     assert isolate_positive_roots(p, Fraction(1, 10)) == [(0, Fraction(1, 16))]
+    # t - 1: B = 2 and the root bound is 2, above the root 1; a bound equal
+    # to the root would start at (0, 1] and keep (..., 1] instead of meeting
+    # 1 as the midpoint of (0, 2]
+    assert isolate_positive_roots(UniPoly([-1, 1]), PREC) == [(1, 1)]
     # (t - 303/1024)(t^2 + 100): B = 101 and the root is 3/128 of the
     # one-root cell (0, B/8], a midpoint that halving meets, so the
     # interval collapses onto it; a root at hi keeps (..., hi]

@@ -118,6 +118,10 @@ def test_g_series_rejects_nonfinite_input(bad):
     for func in (g_plus, g_minus):
         with pytest.raises(ValueError, match="finite"):
             func(1, bad, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            func(1, 0.5, bad)
+        with pytest.raises(ValueError, match="finite"):
+            func(1, 0.5, 1.0, tol=bad)
     # without the check, phi_one ran 5,000 terms before a RuntimeError and
     # k_series returned NaN coefficients
     with pytest.raises(ValueError, match="finite"):
@@ -128,10 +132,6 @@ def test_g_series_rejects_nonfinite_input(bad):
         k_series(1, bad, 1.0, 10)
     with pytest.raises(ValueError, match="finite"):
         k_series(1, 0.3, bad, 10)
-        with pytest.raises(ValueError, match="finite"):
-            func(1, 0.5, bad)
-        with pytest.raises(ValueError, match="finite"):
-            func(1, 0.5, 1.0, tol=bad)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
