@@ -37,18 +37,25 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _n_max(args) -> int:
-    """Fock cutoff: --n-max, else AQRM_NMAX, else spectrum.DEFAULT_NMAX."""
-    if args.n_max is not None:
-        return args.n_max
-    raw = os.environ.get("AQRM_NMAX")
-    if raw is None:
-        from .spectrum import DEFAULT_NMAX
+    """Fock cutoff: --n-max, else AQRM_NMAX, else spectrum.DEFAULT_NMAX.
 
-        return DEFAULT_NMAX
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"AQRM_NMAX must be an integer, got {raw!r}") from None
+    Checked here, before any work is done, so a cutoff below 1 is a usage
+    error for every diagonalizing command.
+    """
+    n_max = args.n_max
+    if n_max is None:
+        raw = os.environ.get("AQRM_NMAX")
+        if raw is None:
+            from .spectrum import DEFAULT_NMAX
+
+            return DEFAULT_NMAX
+        try:
+            n_max = int(raw)
+        except ValueError:
+            raise ValueError(f"AQRM_NMAX must be an integer, got {raw!r}") from None
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    return n_max
 
 
 def _emit(args, text: str) -> None:
@@ -74,7 +81,7 @@ def _cmd_poly(args) -> int:
         _emit(args, json.dumps({
             "N": args.N, "two_eps": args.two_eps, "variant": args.variant,
             "k": args.k, "text": p.to_text(),
-            "terms": json.loads(p.to_json())["terms"]}))
+            "terms": [[i, j, str(c)] for i, j, c in p.sorted_terms()]}))
     else:
         _emit(args, p.to_text())
     return EXIT_OK
@@ -97,15 +104,19 @@ def _cmd_roots(args) -> int:
 
 
 def _cmd_crossings(args) -> int:
-    records = constraint.find_crossings(args.N, args.two_eps, args.delta2,
-                                        args.precision)
     if args.confirm:
         from . import spectrum
 
         n_max = _n_max(args)
+    records = constraint.find_crossings(args.N, args.two_eps, args.delta2,
+                                        args.precision)
     payload, code = [], EXIT_OK
     for rec in records:
-        row = json.loads(rec.to_json())
+        lo, hi = rec.root_interval
+        row = {"N": rec.N, "two_eps": rec.two_eps, "d": str(rec.d_value),
+               "x_lo": str(lo), "x_hi": str(hi), "g": rec.g,
+               "lambda": rec.lambda_,
+               "modules": list(rec.rep_pair) if rec.rep_pair else []}
         if args.confirm:
             try:
                 obs = spectrum.confirm_crossing(rec, n_max=n_max)
@@ -219,7 +230,10 @@ def _cmd_heun_check(args) -> int:
     expo = heun.exponents(args.which, args.lam, args.g2, args.eps)
     match = direct == from_k
     _emit(args, json.dumps({
-        "op": json.loads(direct.to_json()),
+        "op": {"which": direct.which, "lambda": str(direct.lambda_),
+               "g2": str(direct.g2), "d": str(direct.d),
+               "eps": str(direct.eps), "A": str(direct.A),
+               "B": str(direct.B), "C": str(direct.C), "D": str(direct.D)},
         "reduction_matches": match,
         "exponents": {
             "at0": [str(e) for e in expo["at0"]],
@@ -275,7 +289,9 @@ def _cmd_sweep(args) -> int:
             "g_grid": list(sw.g_grid),
             "eigenvalues": sw.table.tolist(),
             "converged": sw.converged.astype(bool).tolist(),
-            "crossings": [json.loads(c.to_json()) for c in sw.crossings]}))
+            "crossings": [{"g_star": c.g_star, "lambda_star": c.lambda_star,
+                           "gap": c.gap, "indices": list(c.indices)}
+                          for c in sw.crossings]}))
     else:
         _emit(args, sw.to_csv())
     return EXIT_OK
@@ -374,7 +390,10 @@ def build_parser() -> _Parser:
     p.add_argument("--g", type=float, default=None)
     p.add_argument("--g-min", type=float, default=None)
     p.add_argument("--g-max", type=float, default=None)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=1e-10,
+                   help="with --g, the series tolerance of G+ and G-; in a "
+                        "scan, bisection stops once |G| < TOL, and the series "
+                        "run at their default tolerance 1e-12")
     _add_common(p, "csv")
     p.set_defaults(handler=_cmd_gfunction)
 

@@ -11,7 +11,6 @@ two families at half-integer eps.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -173,25 +172,6 @@ class CrossingRecord:
     @property
     def lambda_(self) -> float:
         return self.N - self.g**2 + self.two_eps / 2
-
-    @property
-    def lambda_description(self) -> str:
-        eps = Fraction(self.two_eps, 2)
-        tail = "" if not eps else (f" + {eps}" if eps > 0 else f" - {-eps}")
-        return f"lambda = {self.N} - g^2{tail}"
-
-    def to_json(self) -> str:
-        lo, hi = self.root_interval
-        return json.dumps({
-            "N": self.N,
-            "two_eps": self.two_eps,
-            "d": str(self.d_value),
-            "x_lo": str(lo),
-            "x_hi": str(hi),
-            "g": self.g,
-            "lambda": self.lambda_,
-            "modules": list(self.rep_pair) if self.rep_pair else [],
-        })
 
 
 def rep_pair_labels(N: int, two_eps: int) -> tuple[str, str] | None:

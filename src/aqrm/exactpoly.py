@@ -9,7 +9,6 @@ positive real roots by Descartes' rule of signs on integer polynomials.
 """
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -182,15 +181,6 @@ class BivarPoly:
             else:
                 parts.append(f"+ {term}" if c > 0 else f"- {term}")
         return " ".join(parts)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"terms": [[i, j, str(c)] for i, j, c in self.sorted_terms()]})
-
-    @classmethod
-    def from_json(cls, text: str) -> "BivarPoly":
-        data = json.loads(text)
-        return cls({(int(i), int(j)): Fraction(c) for i, j, c in data["terms"]})
 
     def __repr__(self) -> str:
         return f"BivarPoly({self.to_text()})"

@@ -14,7 +14,6 @@ first-order system for polynomial trial solutions.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,28 +47,6 @@ class HeunOp:
         if point == 1:
             return (Fraction(0), 1 - self.B)
         raise ValueError("point must be 0 or 1")
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "which": self.which,
-            "lambda": str(self.lambda_),
-            "g2": str(self.g2),
-            "d": str(self.d),
-            "eps": str(self.eps),
-            "A": str(self.A),
-            "B": str(self.B),
-            "C": str(self.C),
-            "D": str(self.D),
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "HeunOp":
-        raw = json.loads(text)
-        return cls(which=int(raw["which"]),
-                   lambda_=Fraction(raw["lambda"]), g2=Fraction(raw["g2"]),
-                   d=Fraction(raw["d"]), eps=Fraction(raw["eps"]),
-                   A=Fraction(raw["A"]), B=Fraction(raw["B"]),
-                   C=Fraction(raw["C"]), D=Fraction(raw["D"]))
 
 
 def heun_direct(which: int, lambda_, g2, d, eps) -> HeunOp:

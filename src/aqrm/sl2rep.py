@@ -244,10 +244,7 @@ def commutator_check(params: RepParams, lambda_, g2, d, eps) -> dict:
     t1 = ((H + F) @ (F + identity_op(params, 4 * g2))).scale(eps + Fraction(3, 2))
     t2 = (E.scale(8 * g2) + H @ F).scale(eps - Fraction(1, 2))
     t3 = F.scale(2 * (eps + Fraction(1, 2)) * (lam + g2 - Fraction(1, 2)))
-    report = compare(lhs, t1 + t2 - t3)
-    report["params"] = {"lambda": str(lam), "g2": str(g2), "d": str(d),
-                        "eps": str(eps), "j": params.j, "a": str(params.a)}
-    return report
+    return compare(lhs, t1 + t2 - t3)
 
 
 def _closure_ok(params: RepParams, block: range) -> bool:

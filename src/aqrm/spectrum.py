@@ -9,7 +9,6 @@ matrix whose low eigenvalues converge rapidly in n_max.
 from __future__ import annotations
 
 import io
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -101,14 +100,6 @@ class CrossingObservation:
     lambda_star: float
     gap: float
     indices: tuple[int, int]
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "g_star": self.g_star,
-            "lambda_star": self.lambda_star,
-            "gap": self.gap,
-            "indices": list(self.indices),
-        })
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,13 @@ def test_crossings_confirmed_record(capsys):
     lines = [ln for ln in out.strip().split("\n") if ln]
     assert len(lines) == 1
     blob = json.loads(lines[0])
+    assert set(blob) == {"N", "two_eps", "d", "x_lo", "x_hi", "g", "lambda",
+                         "modules", "gap", "lambda_observed"}
+    assert blob["N"] == 1 and blob["two_eps"] == 0
+    assert Fraction(blob["x_lo"]) <= Fraction(1, 2) <= Fraction(blob["x_hi"])
+    assert blob["lambda"] == pytest.approx(1 - blob["g"] ** 2, abs=1e-12)
     assert blob["gap"] < 1e-7
+    assert blob["lambda_observed"] == pytest.approx(blob["lambda"], abs=1e-7)
     assert blob["d"] == "1/2"
     assert blob["modules"] == ["F_2", "F_1"]
 
@@ -146,6 +152,9 @@ def test_heun_check(capsys):
                     "--g2", "1/3", "--d", "2", "--eps", "1/2")
     assert code == 0
     blob = json.loads(out)
+    assert set(blob["op"]) == {"which", "lambda", "g2", "d", "eps", "A", "B",
+                               "C", "D"}
+    assert blob["op"]["which"] == 2 and blob["op"]["lambda"] == "3/2"
     assert blob["reduction_matches"]
     assert blob["exponents"]["at0"] == ["0", "10/3"]
 
@@ -189,6 +198,23 @@ def test_sweep_csv(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "g,index,eigenvalue,converged"
     assert len(lines) == 1 + 2 * 26
+
+
+def test_sweep_json_reports_judd_point_crossing(capsys):
+    # Delta = 1/sqrt(2), g = Delta/2 is a root of P_1 = x + d - 1, so
+    # eigenvalues 2 and 3 meet at lambda = 1 - g^2; both grid points are
+    # that g, so the crossing is reported twice
+    code, out = run(capsys, "sweep", "--delta", "0.7071067811865476",
+                    "--g-min", "0.35355339059327373",
+                    "--g-max", "0.35355339059327373", "--steps", "2",
+                    "--n-max", "60", "--format", "json")
+    assert code == 0
+    crossings = json.loads(out)["crossings"]
+    assert len(crossings) == 2
+    for c in crossings:
+        assert set(c) == {"g_star", "lambda_star", "gap", "indices"}
+        assert c["gap"] < 1e-7
+        assert c["indices"] == [2, 3]
 
 
 def test_unknown_subcommand_usage_exit(capsys):
@@ -236,6 +262,9 @@ def test_zero_denominator_is_usage_error(capsys, argv):
     ("gfunction", "--N", "1", "--delta", "1", "--g-min", "0.1",
      "--g-max", "inf"),
     ("rep-check", "--trials=-1"),
+    ("crossings", "--N", "2", "--delta2", "1/2", "--confirm", "--n-max=0"),
+    ("sweep", "--delta", "0.5", "--g-min", "0.1", "--g-max", "0.3",
+     "--n-max=0"),
 ])
 def test_nonfinite_or_negative_input_is_usage_error(capsys, argv):
     code = main(list(argv))
@@ -284,13 +313,15 @@ def test_nmax_env_ignored_without_diagonalization(capsys, monkeypatch):
      "--steps", "3"),
 ])
 def test_malformed_nmax_env_is_usage_error(capsys, monkeypatch, argv):
-    monkeypatch.setenv("AQRM_NMAX", "abc")
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert captured.err.startswith(f"aqrm {argv[0]}: ")
-    assert "AQRM_NMAX" in captured.err
+    for raw, message in (("abc", "AQRM_NMAX must be an integer"),
+                         ("0", "n_max must be >= 1")):
+        monkeypatch.setenv("AQRM_NMAX", raw)
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"aqrm {argv[0]}: {message}")
+        assert captured.err.count("\n") == 1
 
 
 #: every subcommand that needs no diagonalization, with arguments

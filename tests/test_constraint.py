@@ -21,6 +21,7 @@ from aqrm.constraint import (
     verify_conjecture,
     verify_identity_half,
 )
+from aqrm.cli import main
 from aqrm.exactpoly import BivarPoly, refine_isolated
 
 X, D = BivarPoly.x(), BivarPoly.d()
@@ -137,9 +138,10 @@ def test_find_crossings_examples():
     assert lo <= Fraction(1, 2) <= hi
     assert rec.g == pytest.approx(math.sqrt(0.5) / 2, abs=1e-12)
     assert rec.lambda_ == pytest.approx(1 - rec.g**2, abs=1e-12)
-    assert rec.lambda_description == "lambda = 1 - g^2"
     assert find_crossings(1, 0, Fraction(2), PREC) == []
-    assert len(find_crossings(2, 1, Fraction(1, 4), PREC)) == 2
+    biased = find_crossings(2, 1, Fraction(1, 4), PREC)
+    assert len(biased) == 2
+    assert biased[0].lambda_ == pytest.approx(2 - biased[0].g ** 2 + 0.5)
     with pytest.raises(ValueError):
         find_crossings(1, 0, Fraction(-1), PREC)
 
@@ -151,9 +153,12 @@ def test_rep_pair_labels():
     assert rep_pair_labels(2, -1) is None
 
 
-def test_crossing_record_json_schema():
+def test_crossing_record_json_schema(capsys):
+    # the crossings row is built in cli from the record's fields
     rec = find_crossings(2, 1, Fraction(1, 4), PREC)[0]
-    blob = json.loads(rec.to_json())
+    assert main(["crossings", "--N", "2", "--two-eps", "1",
+                 "--delta2", "1/4"]) == 0
+    blob = json.loads(capsys.readouterr().out.split("\n")[0])
     assert set(blob) == {"N", "two_eps", "d", "x_lo", "x_hi", "g", "lambda",
                          "modules"}
     assert blob["N"] == 2 and blob["two_eps"] == 1 and blob["d"] == "1/4"

@@ -1,9 +1,11 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
 
+from aqrm.cli import main
 from aqrm.constraint import ConstraintFamily, constraint_poly
 from aqrm.exactpoly import (
     BivarPoly,
@@ -76,11 +78,19 @@ def test_ring_axioms_randomized():
         assert sympy.expand(to_sympy(a) * to_sympy(b) - to_sympy(a * b)) == 0
 
 
-def test_text_and_json_round_trip():
-    rng = random.Random(7)
-    for _ in range(10):
-        p = random_poly(rng)
-        assert BivarPoly.from_json(p.to_json()) == p
+def test_text_and_json_round_trip(capsys):
+    # poly's "terms" are built in cli; they rebuild the same polynomial
+    for n, two_eps, variant, k in ((1, 0, "plain", 1), (2, 1, "plain", 2),
+                                   (3, -1, "tilde", 2), (4, 2, "plain", 3)):
+        fam = ConstraintFamily(n, two_eps, variant)
+        assert main(["poly", "--N", str(n), "--two-eps", str(two_eps),
+                     "--variant", variant, "--k", str(k),
+                     "--format", "json"]) == 0
+        blob = json.loads(capsys.readouterr().out)
+        p = constraint_poly(fam, k)
+        assert blob["text"] == p.to_text()
+        assert BivarPoly({(i, j): Fraction(c)
+                          for i, j, c in blob["terms"]}) == p
     assert BivarPoly.zero().to_text() == "0"
 
 

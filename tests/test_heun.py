@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from aqrm.cli import main
 from aqrm.exactpoly import UniPoly
 from aqrm.heun import (
     HeunOp,
@@ -98,14 +99,18 @@ def test_accessory_parameter_moves_only_d():
     assert shifted.D == base.D + 1
 
 
-def test_heun_json_round_trip():
+def test_heun_json_round_trip(capsys):
+    # heun-check's "op" is built in cli; its fields rebuild the same operator
     op = heun_direct(2, Fraction(1, 7), Fraction(3, 5), Fraction(2),
                      Fraction(1, 2))
-    clone = HeunOp.from_json(op.to_json())
-    assert clone == op
-    blob = json.loads(op.to_json())
+    assert main(["heun-check", "--which", "2", "--lambda", "1/7",
+                 "--g2", "3/5", "--d", "2", "--eps", "1/2"]) == 0
+    blob = json.loads(capsys.readouterr().out)["op"]
     assert set(blob) == {"which", "lambda", "g2", "d", "eps", "A", "B", "C",
                          "D"}
+    clone = HeunOp(blob.pop("which"), Fraction(blob.pop("lambda")),
+                   **{k: Fraction(v) for k, v in blob.items()})
+    assert clone == op
 
 
 def test_heun_drift_and_validation():

@@ -142,15 +142,6 @@ def test_confirm_rejects_perturbed_root(monkeypatch):
     assert gap > 1e-3
 
 
-def test_crossing_observation_json():
-    import json
-    obs = CrossingObservation(g_star=0.25, lambda_star=1.5, gap=1e-9,
-                              indices=(3, 4))
-    blob = json.loads(obs.to_json())
-    assert blob == {"g_star": 0.25, "lambda_star": 1.5, "gap": 1e-9,
-                    "indices": [3, 4]}
-
-
 def test_sweep_single_point_matches_direct():
     sw = sweep(0.5, 0.0, [0.3], n_max=40)
     ts = truncated_spectrum(ModelParams(0.3, 0.5, 0.0), 40)
