@@ -53,8 +53,8 @@ _SPECTRUM_NAMES = (
     "SpectralSweep",
     "build_hamiltonian",
     "confirm_crossing",
+    "convergence_flags",
     "sweep",
-    "truncated_spectrum",
 )
 
 __all__ = sorted([name for name in dir() if not name.startswith("_")]

@@ -53,6 +53,8 @@ def _n_max(args) -> int:
             n_max = int(raw)
         except ValueError:
             raise ValueError(f"AQRM_NMAX must be an integer, got {raw!r}") from None
+        if n_max < 1:
+            raise ValueError(f"AQRM_NMAX must be >= 1, got {raw!r}")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     return n_max
@@ -293,7 +295,14 @@ def _cmd_sweep(args) -> int:
                            "gap": c.gap, "indices": list(c.indices)}
                           for c in sw.crossings]}))
     else:
-        _emit(args, sw.to_csv())
+        # one string per g keeps the peak memory near that of the text itself
+        rows = ["g,index,eigenvalue,converged"]
+        for g, evs, flags in zip(sw.g_grid, sw.table, sw.converged):
+            rows.append("\n".join(
+                f"{g!r},{idx},{ev!r},{flag}"
+                for idx, (ev, flag) in enumerate(zip(evs.tolist(),
+                                                     flags.tolist()))))
+        _emit(args, "\n".join(rows))
     return EXIT_OK
 
 

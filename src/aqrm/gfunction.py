@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .constraint import ConstraintFamily, constraint_poly_at
 from .exactpoly import UniPoly
@@ -52,12 +53,18 @@ class KSeries:
         return self.coeffs[n - self.N]
 
 
-def _k_next(N: int, g: float, delta: float, n: int, k_n: float,
-            k_prev: float) -> float:
-    """K_{n+1} from (K_n, K_{n-1}) by the forward recurrence at index n > N."""
+def _k_terms(N: int, g: float, delta: float):
+    """Yield (n, K_n) for n = N+1, N+2, ... by the forward recurrence
+    (n+1) K_{n+1} = (4g^2 + n - N + Delta^2/(N - n)) K_n - 4g^2 K_{n-1}
+    from K_N = 0 and K_{N+1} = 1."""
     g2x4 = 4.0 * g * g
-    return ((g2x4 + n - N + delta * delta / (N - n)) * k_n
-            - g2x4 * k_prev) / (n + 1)
+    k_prev, k_n = 0.0, 1.0
+    n = N + 1
+    while True:
+        yield n, k_n
+        k_prev, k_n = k_n, ((g2x4 + n - N + delta * delta / (N - n)) * k_n
+                            - g2x4 * k_prev) / (n + 1)
+        n += 1
 
 
 def _check_series_args(N: int, g: float, delta: float) -> None:
@@ -77,22 +84,9 @@ def k_series(N: int, g: float, delta: float, n_stop: int) -> KSeries:
     _check_series_args(N, g, delta)
     if n_stop <= N + 1:
         raise ValueError("n_stop must exceed N + 1")
-    coeffs = [0.0, 1.0]
-    for n in range(N + 1, n_stop):
-        coeffs.append(_k_next(N, g, delta, n, coeffs[-1], coeffs[-2]))
-    return KSeries(N=N, g=g, delta=delta, n_stop=n_stop, coeffs=tuple(coeffs))
-
-
-def recurrence_residuals(ks: KSeries) -> list[float]:
-    """Relative residual of every stored consecutive triple (should be ~0)."""
-    g2x4 = 4.0 * ks.g * ks.g
-    out = []
-    for n in range(ks.N + 1, ks.n_stop):
-        lhs = (n + 1) * ks.k(n + 1)
-        rhs = ((g2x4 + n - ks.N + ks.delta**2 / (ks.N - n)) * ks.k(n)
-               - g2x4 * ks.k(n - 1))
-        out.append(abs(lhs - rhs) / max(1.0, abs(ks.k(n))))
-    return out
+    terms = islice(_k_terms(N, g, delta), n_stop - N)
+    coeffs = (0.0, *(k_n for _, k_n in terms))
+    return KSeries(N=N, g=g, delta=delta, n_stop=n_stop, coeffs=coeffs)
 
 
 @dataclass(frozen=True)
@@ -112,12 +106,9 @@ def _g_series(N: int, g: float, delta: float, tol: float, sign: int) -> GValue:
         raise ValueError("tol must be finite and positive")
     total = -sign * 2.0 * (N + 1) / delta
     comp = 0.0  # compensated-summation carry
-    k_prev, k_n = 0.0, 1.0  # K_N, K_{N+1}
     weight = 1.0  # (1/2)^(n-N-1) at n = N+1
     small_streak = 0
-    term = 0.0
-    n = N + 1
-    while True:
+    for n, k_n in _k_terms(N, g, delta):
         term = k_n * (1.0 + sign * delta / (n - N)) * weight
         y = term - comp
         t = total + y
@@ -134,9 +125,7 @@ def _g_series(N: int, g: float, delta: float, tol: float, sign: int) -> GValue:
             raise RuntimeError(
                 f"series did not converge within {N_STOP_MAX} terms "
                 f"(g={g} too large for double-precision truncation)")
-        k_prev, k_n = k_n, _k_next(N, g, delta, n, k_n, k_prev)
         weight *= PATCH_X
-        n += 1
     tail_bound = abs(term) * 10.0
     return GValue(value=total, n_stop=n, tail_bound=tail_bound,
                   converged=tail_bound < 1e-3 * abs(total))
@@ -158,19 +147,15 @@ def phi_one(N: int, g: float, delta: float, x: float) -> float:
     if not abs(x) < 1:
         raise ValueError("the series only converges for |x| < 1")
     total = (N + 1) / delta * x**N
-    k_prev, k_n = 0.0, 1.0
     power = x ** (N + 1)
-    n = N + 1
-    while True:
+    for n, k_n in _k_terms(N, g, delta):
         term = -delta * k_n / (n - N) * power
         total += term
         if abs(term) < PHI_TOL * max(abs(total), PHI_TOL) and n >= N + 25:
             return total
         if n - N >= N_STOP_MAX:
             raise RuntimeError("phi_1 series did not converge")
-        k_prev, k_n = k_n, _k_next(N, g, delta, n, k_n, k_prev)
         power *= x
-        n += 1
 
 
 # -- root location --------------------------------------------------------------

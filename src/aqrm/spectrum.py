@@ -8,7 +8,6 @@ matrix whose low eigenvalues converge rapidly in n_max.
 """
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,25 +70,12 @@ def eigenvalues(params: ModelParams, n_max: int) -> np.ndarray:
     return np.linalg.eigvalsh(build_hamiltonian(params, n_max))
 
 
-@dataclass(frozen=True)
-class TruncatedSpectrum:
-    params: ModelParams
-    n_max: int
-    eigenvalues: np.ndarray
-    converged: np.ndarray  # bool per eigenvalue
-
-    def __len__(self) -> int:
-        return len(self.eigenvalues)
-
-
-def truncated_spectrum(params: ModelParams,
-                       n_max: int = DEFAULT_NMAX) -> TruncatedSpectrum:
-    """Spectrum plus per-level convergence flags from an enlarged truncation."""
-    ev = eigenvalues(params, n_max)
+def convergence_flags(params: ModelParams, n_max: int,
+                      ev: np.ndarray) -> np.ndarray:
+    """Per-level flags for ev, the spectrum at n_max: whether each level moves
+    by less than CONV_TOL at n_max + CONV_MARGIN."""
     ev_big = eigenvalues(params, n_max + CONV_MARGIN)
-    flags = np.abs(ev - ev_big[: len(ev)]) < CONV_TOL
-    return TruncatedSpectrum(params=params, n_max=n_max,
-                             eigenvalues=ev, converged=flags)
+    return np.abs(ev - ev_big[: len(ev)]) < CONV_TOL
 
 
 @dataclass(frozen=True)
@@ -112,15 +98,6 @@ class SpectralSweep:
     converged: np.ndarray  # same shape, bool
     crossings: tuple[CrossingObservation, ...]
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("g,index,eigenvalue,converged\n")
-        for row, g in enumerate(self.g_grid):
-            for idx in range(self.table.shape[1]):
-                buf.write(f"{g!r},{idx},{float(self.table[row, idx])!r},"
-                          f"{bool(self.converged[row, idx])}\n")
-        return buf.getvalue()
-
 
 def sweep(delta: float, eps: float, g_grid,
           n_max: int = DEFAULT_NMAX) -> SpectralSweep:
@@ -130,26 +107,20 @@ def sweep(delta: float, eps: float, g_grid,
         raise ValueError("g_grid must be nonempty")
     rows, flags, found = [], [], []
     for g in grid:
-        ts = truncated_spectrum(ModelParams(g=g, delta=delta, eps=eps), n_max)
-        rows.append(ts.eigenvalues)
-        flags.append(ts.converged)
-        gaps = np.diff(ts.eigenvalues)
+        params = ModelParams(g=g, delta=delta, eps=eps)
+        ev = eigenvalues(params, n_max)
+        rows.append(ev)
+        flags.append(convergence_flags(params, n_max, ev))
+        gaps = np.diff(ev)
         for i in np.nonzero(gaps < DEGENERACY_TOL)[0]:
             found.append(CrossingObservation(
                 g_star=g,
-                lambda_star=0.5 * (ts.eigenvalues[i] + ts.eigenvalues[i + 1]),
+                lambda_star=0.5 * (ev[i] + ev[i + 1]),
                 gap=float(gaps[i]),
                 indices=(int(i), int(i) + 1)))
     return SpectralSweep(delta=delta, eps=eps, n_max=n_max, g_grid=grid,
                          table=np.array(rows), converged=np.array(flags),
                          crossings=tuple(found))
-
-
-def _pair_converged(params: ModelParams, n_max: int, ev: np.ndarray,
-                    pair: tuple[int, int]) -> bool:
-    """Whether the pair moves by less than CONV_TOL at n_max + CONV_MARGIN."""
-    ev_big = eigenvalues(params, n_max + CONV_MARGIN)
-    return bool(np.all(np.abs(ev[list(pair)] - ev_big[list(pair)]) < CONV_TOL))
 
 
 def confirm_crossing(record: CrossingRecord,
@@ -183,7 +154,7 @@ def confirm_crossing(record: CrossingRecord,
     missed = (err_i > DEGENERACY_TOL or err_j > DEGENERACY_TOL
               or gap > DEGENERACY_TOL)
     if n_max < ESCALATED_NMAX and (
-            missed or not _pair_converged(params, n_max, ev, (i, j))):
+            missed or not convergence_flags(params, n_max, ev)[[i, j]].all()):
         return confirm_crossing(
             record, n_max=min(n_max + CONV_MARGIN, ESCALATED_NMAX))
     if missed:

@@ -216,11 +216,12 @@ def test_criterion_08_heun_reduction_hundred_random_tuples():
     print("criterion 8: PASS (operator correspondence exact, 100 tuples)")
 
 
-def test_criterion_09_g_function_recurrence_reflection_and_roots():
+def test_criterion_09_g_function_recurrence_reflection_and_roots(
+        assert_k_exact):
+    # every double-precision K_n within 1e-12 of the exact rational recurrence
     for N, g, delta in ((1, 0.3, 0.4), (1, 1.2, 2.0), (2, 1.36, 1.5),
                         (3, 0.7, 2.5)):
-        ks = gfunction.k_series(N, g, delta, N + 300)
-        assert max(gfunction.recurrence_residuals(ks)) <= 1e-12
+        assert_k_exact(gfunction.k_series(N, g, delta, N + 300))
     for g in np.linspace(0.05, 1.85, 10):
         for delta in np.linspace(0.3, 2.8, 10):
             assert gfunction.g_minus(1, float(g), float(delta)).value == \
@@ -236,8 +237,8 @@ def test_criterion_09_g_function_recurrence_reflection_and_roots():
     ev = spectrum.eigenvalues(spectrum.ModelParams(roots[0].g_root, 1.5), 60)
     dists = np.sort(np.abs(ev - roots[0].lambda_))
     assert dists[0] < 1e-6 and dists[1] > 1e-4
-    print("criterion 9: PASS (residuals <= 1e-12, exact reflection, roots "
-          "confirmed non-degenerate)")
+    print("criterion 9: PASS (K_n within 1e-12 of exact, exact reflection, "
+          "roots confirmed non-degenerate)")
 
 
 def test_criterion_10_sl2_suite_exact_and_fast():

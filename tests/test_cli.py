@@ -314,7 +314,7 @@ def test_nmax_env_ignored_without_diagonalization(capsys, monkeypatch):
 ])
 def test_malformed_nmax_env_is_usage_error(capsys, monkeypatch, argv):
     for raw, message in (("abc", "AQRM_NMAX must be an integer"),
-                         ("0", "n_max must be >= 1")):
+                         ("0", "AQRM_NMAX must be >= 1, got '0'")):
         monkeypatch.setenv("AQRM_NMAX", raw)
         code = main(list(argv))
         captured = capsys.readouterr()

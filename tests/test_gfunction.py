@@ -15,7 +15,6 @@ from aqrm.gfunction import (
     g_plus,
     k_series,
     phi_one,
-    recurrence_residuals,
 )
 
 
@@ -64,10 +63,9 @@ def test_k_series_hand_computed_at_zero_coupling():
     assert ks.k(5) == pytest.approx(k5, rel=1e-15)
 
 
-def test_recurrence_residuals_small():
+def test_recurrence_residuals_small(assert_k_exact):
     for N, g, delta in ((1, 0.3, 0.4), (2, 1.36, 1.5), (3, 0.9, 2.2)):
-        ks = k_series(N, g, delta, N + 200)
-        assert max(recurrence_residuals(ks)) <= 1e-12
+        assert_k_exact(k_series(N, g, delta, N + 200))
 
 
 def test_g_plus_converges_and_matches_two_depths():

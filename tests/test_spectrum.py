@@ -1,4 +1,3 @@
-import io
 import math
 from fractions import Fraction
 
@@ -6,15 +5,16 @@ import numpy as np
 import pytest
 
 from aqrm import spectrum
+from aqrm.cli import main
 from aqrm.constraint import CrossingRecord, find_crossings
 from aqrm.spectrum import (
     CrossingObservation,
     ModelParams,
     build_hamiltonian,
     confirm_crossing,
+    convergence_flags,
     eigenvalues,
     sweep,
-    truncated_spectrum,
 )
 
 PREC = Fraction(1, 10**12)
@@ -61,12 +61,14 @@ def test_self_convergence_of_reported_levels():
 
 
 def test_truncated_spectrum_convergence_flags():
-    ts = truncated_spectrum(ModelParams(0.25, 0.5, 0.5), 60)
-    assert len(ts) == 122
-    assert np.all(np.diff(ts.eigenvalues) >= -1e-12)
+    params = ModelParams(0.25, 0.5, 0.5)
+    ev = eigenvalues(params, 60)
+    flags = convergence_flags(params, 60, ev)
+    assert len(ev) == len(flags) == 122
+    assert np.all(np.diff(ev) >= -1e-12)
     count = 2 * 61 // 3
-    assert ts.converged[:count].all()
-    assert not ts.converged[-1]
+    assert flags[:count].all()
+    assert not flags[-1]
 
 
 def test_parity_and_asymmetry_reflections():
@@ -144,19 +146,21 @@ def test_confirm_rejects_perturbed_root(monkeypatch):
 
 def test_sweep_single_point_matches_direct():
     sw = sweep(0.5, 0.0, [0.3], n_max=40)
-    ts = truncated_spectrum(ModelParams(0.3, 0.5, 0.0), 40)
-    assert np.array_equal(sw.table[0], ts.eigenvalues)
-    assert np.array_equal(sw.converged[0], ts.converged)
+    params = ModelParams(0.3, 0.5, 0.0)
+    ev = eigenvalues(params, 40)
+    assert np.array_equal(sw.table[0], ev)
+    assert np.array_equal(sw.converged[0], convergence_flags(params, 40, ev))
 
 
-def test_sweep_csv_format():
-    sw = sweep(0.5, 0.0, [0.1, 0.2], n_max=12)
-    lines = sw.to_csv().strip().split("\n")
+def test_sweep_csv_format(capsys):
+    assert main(["sweep", "--delta", "0.5", "--g-min", "0.1", "--g-max", "0.2",
+                 "--steps", "2", "--n-max", "12", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "g,index,eigenvalue,converged"
     assert len(lines) == 1 + 2 * 26
     g, idx, ev, flag = lines[1].split(",")
     assert float(g) == 0.1 and idx == "0"
-    assert float(ev) == sw.table[0, 0]
+    assert float(ev) == sweep(0.5, 0.0, [0.1, 0.2], n_max=12).table[0, 0]
     assert flag in ("True", "False")
 
 
