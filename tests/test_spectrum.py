@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -71,6 +72,79 @@ def test_truncated_spectrum_convergence_flags():
     assert not flags[-1]
 
 
+def sigma_z_hamiltonian(g, delta, eps, n_max):
+    """a^dag a + Delta sigma_z + sigma_x (g (a + a^dag) + eps) by Kronecker
+    products in the sigma_z basis: shares no code with build_hamiltonian."""
+    n = np.arange(n_max + 1, dtype=float)
+    x = np.diag(np.sqrt(n[1:]), 1)
+    x += x.T
+    one = np.eye(n_max + 1)
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sz = np.diag([1.0, -1.0])
+    return (np.kron(np.diag(n), np.eye(2)) + delta * np.kron(one, sz)
+            + np.kron(g * x + eps * one, sx))
+
+
+def seeded_params(seed, draws):
+    """(g, Delta, eps) from g in [0, 3], Delta in [0, 3], eps in [-2, 2],
+    with g = 0, Delta = 0 and eps = 0 among them."""
+    rng = np.random.default_rng(seed)
+    cases = [(0.0, 1.1, 0.4), (0.8, 0.0, -0.6), (1.3, 0.9, 0.0)]
+    cases += [(rng.uniform(0, 3), rng.uniform(0, 3), rng.uniform(-2, 2))
+              for _ in range(draws)]
+    return cases
+
+
+def test_count_below_matches_dense_spectrum():
+    for g, delta, eps in seeded_params(11, 12):
+        for n_max in (5, 30, 90):
+            ev = np.linalg.eigvalsh(sigma_z_hamiltonian(g, delta, eps, n_max))
+            # midpoints of gaps wide enough that rounding cannot move them
+            wide = np.diff(ev) > 1e-6
+            shifts = np.concatenate([0.5 * (ev[1:] + ev[:-1])[wide],
+                                     [ev[0] - 1.0, ev[-1] + 1.0, -1e300, 1e300]])
+            got = spectrum._count_below(g, delta, eps, n_max, shifts)
+            assert np.array_equal(got, np.searchsorted(ev, shifts)), \
+                (g, delta, eps, n_max)
+
+
+def test_count_below_on_exact_eigenvalues_of_decoupled_spectra():
+    # g = 0 decouples the Fock levels into n +- sqrt(eps^2 + Delta^2), and
+    # Delta = 0 the two oscillators into n - g^2 +- eps: shifts on these
+    # values make pivot blocks exactly singular, which must neither warn
+    # nor turn into NaN comparisons
+    n_max = 30
+    k = np.arange(n_max + 1, dtype=float)
+    cases = [(0.0, 0.0, 0.0, k), (0.0, 0.7, 0.0, k + 0.7),
+             (0.0, 0.6, 0.8, np.concatenate([k + 1.0, k - 1.0])),
+             (0.4, 0.0, 0.0, k - 0.16),
+             (0.5, 0.0, 0.3, np.concatenate([k - 0.25 + 0.3, k - 0.25 - 0.3]))]
+    for g, delta, eps, exact in cases:
+        ev = eigenvalues(ModelParams(g, delta, eps), n_max)
+        shifts = np.concatenate([exact, ev])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = spectrum._count_below(g, delta, eps, n_max, shifts)
+        assert got.dtype.kind == "i"
+        assert np.all((0 <= got) & (got <= len(ev)))
+        # a shift on an eigenvalue may count it or not, nothing further off
+        assert np.all(got >= np.searchsorted(ev, shifts - 1e-9, "left"))
+        assert np.all(got <= np.searchsorted(ev, shifts + 1e-9, "right"))
+
+
+def test_convergence_flags_match_dense_rule():
+    # the rule as two dense solves: a level is converged when it moves by
+    # less than CONV_TOL at n_max + CONV_MARGIN
+    for g, delta, eps in seeded_params(12, 6):
+        for n_max in (20, 40, 60):
+            ev = np.linalg.eigvalsh(sigma_z_hamiltonian(g, delta, eps, n_max))
+            ev_big = np.linalg.eigvalsh(sigma_z_hamiltonian(
+                g, delta, eps, n_max + spectrum.CONV_MARGIN))
+            want = np.abs(ev - ev_big[:len(ev)]) < spectrum.CONV_TOL
+            got = convergence_flags(ModelParams(g, delta, eps), n_max, ev)
+            assert np.array_equal(got, want), (g, delta, eps, n_max)
+
+
 def test_parity_and_asymmetry_reflections():
     ev = eigenvalues(ModelParams(0.45, 0.8, 0.0), 50)
     assert np.max(np.abs(ev - eigenvalues(ModelParams(-0.45, 0.8, 0.0), 50))) \
@@ -96,15 +170,22 @@ def test_confirm_asymmetric_crossings():
         assert obs.lambda_star == pytest.approx(rec.lambda_, abs=1e-7)
 
 
-def logged_truncations(monkeypatch) -> list[int]:
-    """Make spectrum.eigenvalues log the n_max of every solve."""
+def logged_truncations(monkeypatch) -> list[tuple[str, int]]:
+    """Make spectrum log every dense solve as ("solve", n_max) and every
+    eigenvalue count as ("count", n_max)."""
     log = []
+    count_below = spectrum._count_below
 
-    def logged(params, n_max):
-        log.append(n_max)
+    def logged_solve(params, n_max):
+        log.append(("solve", n_max))
         return eigenvalues(params, n_max)
 
-    monkeypatch.setattr(spectrum, "eigenvalues", logged)
+    def logged_count(g, delta, eps, n_max, shifts):
+        log.append(("count", n_max))
+        return count_below(g, delta, eps, n_max, shifts)
+
+    monkeypatch.setattr(spectrum, "eigenvalues", logged_solve)
+    monkeypatch.setattr(spectrum, "_count_below", logged_count)
     return log
 
 
@@ -114,12 +195,12 @@ def test_confirm_escalates_in_margin_steps(monkeypatch):
     # converged at 80 (checked at 100)
     rec = find_crossings(10, 3, Fraction(1, 2), PREC)[-1]
     assert confirm_crossing(rec).gap < 1e-7
-    assert log == [60, 80, 80, 100]
-    # g^2 = 9.18: the pair misses at 60, which needs no convergence solve
+    assert log == [("solve", 60), ("count", 80), ("solve", 80), ("count", 100)]
+    # g^2 = 9.18: the pair misses at 60, which needs no convergence check
     log.clear()
     rec = find_crossings(11, 2, Fraction(1, 2), PREC)[-1]
     assert confirm_crossing(rec).gap < 1e-7
-    assert log == [60, 80, 100]
+    assert log == [("solve", 60), ("solve", 80), ("count", 100)]
 
 
 def test_confirm_rejects_perturbed_root(monkeypatch):
@@ -134,7 +215,7 @@ def test_confirm_rejects_perturbed_root(monkeypatch):
     with pytest.raises(ValueError):
         confirm_crossing(fake)
     # a miss goes straight to the next truncation, up to the cap
-    assert log == [60, 80, 100, 120]
+    assert log == [("solve", n) for n in (60, 80, 100, 120)]
     # the avoided crossing at the perturbed point is wide open
     g = fake.g
     ev = eigenvalues(ModelParams(g, math.sqrt(0.5)), 60)
@@ -150,6 +231,18 @@ def test_sweep_single_point_matches_direct():
     ev = eigenvalues(params, 40)
     assert np.array_equal(sw.table[0], ev)
     assert np.array_equal(sw.converged[0], convergence_flags(params, 40, ev))
+
+
+def test_sweep_flags_match_per_point_flags(monkeypatch):
+    log = logged_truncations(monkeypatch)
+    grid = np.linspace(0.1, 1.6, 41)
+    sw = sweep(1.3, 0.37, grid, n_max=30)
+    # one solve per g and one count for the whole table
+    assert log == [("solve", 30)] * 41 + [("count", 50)]
+    for g, ev, flags in zip(grid, sw.table, sw.converged):
+        assert np.array_equal(
+            flags, convergence_flags(ModelParams(g, 1.3, 0.37), 30, ev))
+    assert sw.converged[0, 0] and not sw.converged[-1, -1]
 
 
 def test_sweep_csv_format(capsys):
