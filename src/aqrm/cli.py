@@ -189,24 +189,6 @@ def _rep_random_checks(rng: random.Random, trials: int) -> list[dict]:
     return checks
 
 
-def _rep_block_checks(rng: random.Random, trials: int) -> list[dict]:
-    """Exact equality of the K-block with the constraint tridiagonal."""
-    checks = []
-    for _ in range(trials):
-        N = rng.randint(1, 5)
-        two_eps = rng.randint(-2, 3)
-        variant = rng.choice((constraint.PLAIN, constraint.TILDE))
-        g2 = _random_fraction(rng, True)
-        d = _random_fraction(rng, True)
-        block = sl2rep.k_block_minus_lambda(N, two_eps, variant, g2, d)
-        spec = constraint.tridiag_matrix(
-            constraint.ConstraintFamily(N, two_eps, variant), N)
-        ok = block == spec.at(4 * g2, d)  # the constraint variable is (2g)^2
-        checks.append({"name": "k_block_tridiagonal", "N": N,
-                       "two_eps": two_eps, "variant": variant, "ok": ok})
-    return checks
-
-
 def _cmd_rep_check(args) -> int:
     if args.trials < 0:
         raise ValueError("--trials must be >= 0")
@@ -220,7 +202,8 @@ def _cmd_rep_check(args) -> int:
     for a in (Fraction(1, 2), Fraction(1), Fraction(3), Fraction(-3, 2)):
         rep = sl2rep.intertwiner_check(a, (-6, 6))
         checks.append({"name": "intertwiner", "a": str(a), "ok": rep["ok"]})
-    checks.extend(_rep_block_checks(rng, args.trials))
+    checks += [{"name": "k_block_tridiagonal", **c}
+               for c in sl2rep.k_block_checks(rng, args.trials)]
     ok = all(c["ok"] for c in checks)
     _emit(args, json.dumps({"seed": args.seed, "checks": checks, "ok": ok}))
     return EXIT_OK if ok else EXIT_VERIFICATION

@@ -88,7 +88,7 @@ def constraint_poly_at(fam: ConstraintFamily, k: int, d_value) -> UniPoly:
     """q^k P_k(x, p/q) for d = p/q in lowest terms, with int coefficients.
 
     A positive multiple of constraint_poly(fam, k).specialize(d_value), so
-    its roots and Cauchy bound are the same.
+    its roots are the same.
     """
     eff = _effective_two_eps(fam, k)
     d_value = to_fraction(d_value)

@@ -316,12 +316,14 @@ class UniPoly:
 # -- root isolation on integer polynomials ------------------------------------
 #
 # Roots are isolated by Descartes' rule of signs on a bisection tree over
-# (0, B], B the Cauchy bound (Vincent-Collins-Akritas; Rouillier & Zimmermann,
-# "Efficient isolation of polynomial's real roots", 2004). Each cell (lo, hi)
-# carries a positive multiple of s(lo + (hi - lo) t) with int coefficients,
-# s the square-free part of p, so the sign pattern of a cell is exact integer
-# arithmetic; once a cell holds one root it is bisected on the sign of its
-# cell polynomial alone, at dyadic points of the cell.
+# (0, 2^e], 2^e a power-of-two bound above every positive root
+# (Vincent-Collins-Akritas; Rouillier & Zimmermann, "Efficient isolation of
+# polynomial's real roots", 2004). Each cell (lo, hi) carries a positive
+# multiple of s(lo + (hi - lo) t) with int coefficients, s the square-free
+# part of p, so the sign pattern of a cell is exact integer arithmetic. Cell
+# endpoints are dyadic, so the cell coefficients stay small; once a cell holds
+# one root it is bisected on the sign of its cell polynomial alone, at dyadic
+# points of the cell.
 
 #: primes for the square-free certificate (gcd(s, s') computed modulo one)
 _CERT_PRIMES = (2**61 - 1, 2**89 - 1, 2**107 - 1)
@@ -441,10 +443,6 @@ def _roots_in_cell(q: list[int]) -> int:
     return _roots_in_cell(left) + _roots_in_cell(right) + (not right[0])
 
 
-def cauchy_bound(p: UniPoly) -> Fraction:
-    return 1 + Fraction(max(abs(c) for c in p.coeffs), abs(p.coeffs[-1]))
-
-
 def _ceil_log2(num: int, den: int) -> int:
     """The least integer c with num <= den * 2^c, for positive num and den."""
     c = num.bit_length() - den.bit_length()
@@ -479,31 +477,26 @@ def _positive_part(p: UniPoly) -> list[int]:
 def isolate_positive_roots(p: UniPoly, precision) -> list[tuple[Fraction, Fraction]]:
     """Isolating intervals for every positive real root of p.
 
-    Each returned (lo, hi) has width <= precision and contains exactly one
-    root counted in the half-open sense (lo, hi]; intervals are disjoint and
-    sorted. Exact rational arithmetic throughout.
+    The intervals are sorted and disjoint. Each (lo, hi) holds exactly one
+    root of p in the half-open sense (lo, hi] and has width <= precision;
+    (a, a) appears only when a is an exact root. Exact rational arithmetic
+    throughout.
 
-    The intervals are those of plain bisection of (0, B], B = cauchy_bound(p):
-    a cell with two or more roots is split at its midpoint (nudged right by
-    (hi - lo)/8, /16, ... while that is a root), and a cell with one root
-    is halved towards the root until it is at most precision wide, or
-    collapses to (mid, mid) when a midpoint is the root. The tree starts at
-    (0, B/2^j] instead, for the largest j with B/2^j at least precision and
-    at least a power-of-two bound below which every positive root lies:
-    bisection of (0, B] keeps the left half of each of those j cells, and
-    drops the right half, which holds no root, without its midpoint being
-    one.
+    The intervals are those of plain bisection of (0, 2^e], 2^e the
+    power-of-two root bound of the square-free part of p: a cell with two or
+    more roots is split at its midpoint (nudged right by (hi - lo)/8, /16,
+    ... while that is a root), and a cell with one root is halved towards
+    the root until it is at most precision wide, or collapses to (mid, mid)
+    when a midpoint is the root.
     """
     a = _positive_part(p)
     precision = to_fraction(precision)
     if precision <= 0:
         raise ValueError("precision must be positive")
-    if len(a) <= 1:
-        return []
-    bound = cauchy_bound(UniPoly(a))
     s = _square_free(a)
-    ratio = max(precision, _root_bound(s)) / bound
-    top = bound / 2 ** max(0, -_ceil_log2(ratio.numerator, ratio.denominator))
+    top = _root_bound(s)
+    if not top:
+        return []
     found: list[tuple[Fraction, Fraction]] = []
     stack = [(Fraction(0), top, _cell_poly(s, Fraction(0), top))]
     while stack:
@@ -581,12 +574,3 @@ def refine_isolated(p: UniPoly, interval: tuple, precision) -> tuple[Fraction, F
     if _roots_in_cell(q) + (not p(hi)) != 1:
         raise ValueError("interval does not isolate exactly one root")
     return _refine(q, lo, hi, precision)
-
-
-def positive_root_count(p: UniPoly) -> int:
-    """Number of distinct positive real roots, by Descartes' rule on (0, B)."""
-    a = _positive_part(p)
-    if len(a) <= 1:
-        return 0
-    bound = cauchy_bound(UniPoly(a))
-    return _roots_in_cell(_cell_poly(_square_free(a), Fraction(0), bound))

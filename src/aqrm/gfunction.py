@@ -197,6 +197,8 @@ def find_exceptional(N: int, delta: float, g_range: tuple[float, float],
     g_lo, g_hi = g_range
     if not all(map(math.isfinite, (delta, g_lo, g_hi, tol))):
         raise ValueError("delta, tol and the g range must be finite")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     if not 0 < g_lo < g_hi:
         raise ValueError("need 0 < g_lo < g_hi")
     if delta <= 0:

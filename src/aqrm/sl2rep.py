@@ -19,10 +19,12 @@ tridiagonal matrices and its conjugated image is a confluent Heun operator.
 """
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
+from .constraint import PLAIN, TILDE, ConstraintFamily, tridiag_matrix
 from .exactpoly import UniPoly, to_fraction
 
 GENERATORS = ("H", "E", "F")
@@ -353,3 +355,24 @@ def k_block_minus_lambda(N: int, two_eps: int, variant: str, g2, d) -> list[list
         data["params"], data["Lambda_a"])
     rows = data["rows"]
     return [[op.entry(rn, cn) for cn in rows] for rn in rows]
+
+
+def k_block_checks(rng: random.Random, trials: int) -> list[dict]:
+    """Exact equality of the K-block with the constraint tridiagonal.
+
+    Each trial draws N, two_eps, the variant and positive rational g2 and d
+    from rng, and compares the block with the tridiagonal at x = 4 g2, the
+    constraint variable (2g)^2.
+    """
+    checks = []
+    for _ in range(trials):
+        N = rng.randint(1, 5)
+        two_eps = rng.randint(-2, 3)
+        variant = rng.choice((PLAIN, TILDE))
+        g2 = Fraction(rng.randint(1, 9), rng.randint(1, 6))
+        d = Fraction(rng.randint(1, 9), rng.randint(1, 6))
+        block = k_block_minus_lambda(N, two_eps, variant, g2, d)
+        spec = tridiag_matrix(ConstraintFamily(N, two_eps, variant), N)
+        checks.append({"N": N, "two_eps": two_eps, "variant": variant,
+                       "ok": block == spec.at(4 * g2, d)})
+    return checks

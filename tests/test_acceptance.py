@@ -103,25 +103,47 @@ def sympy_root_counter(p):
     return count
 
 
-def test_root_counts_per_window_to_level_20():
-    # every window at its midpoint for N <= 12, a seeded sample for N = 13..20
+def sympy_isolated_positive(p):
+    """Positive-root isolating intervals of p from sympy's own isolation."""
+    t = sympy.Symbol("t")
+    out = []
+    for (a, b), _ in sympy.Poly([int(c) for c in reversed(p.coeffs)],
+                                t).intervals(eps=Fraction(1, 10**6)):
+        a, b = Fraction(int(a.p), int(a.q)), Fraction(int(b.p), int(b.q))
+        if b > 0:
+            assert a > 0, (a, b)  # no sympy interval straddles 0
+            out.append((a, b))
+    return out
+
+
+def test_root_counts_per_window_to_level_30():
+    # every window at its midpoint for N <= 12, a seeded sample for
+    # N = 13..30; sympy's Sturm chain is the oracle to N = 20, and sympy's
+    # own isolation above, where the Sturm chain costs seconds per polynomial
     rng = random.Random(2020)
     cases = [(N, two_eps, k) for N in range(1, 13) for two_eps in (0, 1, 2)
              for k in range(N + 1)]
     cases += [(N, rng.choice((0, 1, 2)), rng.randint(0, N))
-              for N in range(13, 21) for _ in range(2)]
+              for N in range(13, 31) for _ in range(2)]
     for N, two_eps, k in cases:
         eps = Fraction(two_eps, 2)
         d = Fraction(k * k + 2 * k * eps + (k + 1) ** 2 + 2 * (k + 1) * eps, 2)
         records = constraint.find_crossings(N, two_eps, d, PREC)
         assert len(records) == N - k, (N, two_eps, k, len(records))
-        count = sympy_root_counter(constraint.constraint_poly_at(
-            ConstraintFamily(N, two_eps), N, d))
-        for rec in records:
-            lo, hi = rec.root_interval
-            assert hi - lo <= PREC
-            assert count(lo, hi) == 1, (N, two_eps, k, rec.root_interval)
-    print(f"root counts N-k: PASS ({len(cases)} windows, N<=20)")
+        p = constraint.constraint_poly_at(ConstraintFamily(N, two_eps), N, d)
+        intervals = [rec.root_interval for rec in records]
+        assert all(hi - lo <= PREC for lo, hi in intervals)
+        if N <= 20:
+            count = sympy_root_counter(p)
+            for lo, hi in intervals:
+                assert count(lo, hi) == 1, (N, two_eps, k, (lo, hi))
+            continue
+        oracle = sympy_isolated_positive(p)
+        assert len(oracle) == len(intervals), (N, two_eps, k)
+        for lo, hi in intervals:
+            met = [iv for iv in oracle if max(lo, iv[0]) <= min(hi, iv[1])]
+            assert len(met) == 1, (N, two_eps, k, (lo, hi), met)
+    print(f"root counts N-k: PASS ({len(cases)} windows, N<=30)")
 
 
 def test_criterion_05_crossings_confirmed_and_discriminated():

@@ -265,6 +265,10 @@ def test_zero_denominator_is_usage_error(capsys, argv):
     ("crossings", "--N", "2", "--delta2", "1/2", "--confirm", "--n-max=0"),
     ("sweep", "--delta", "0.5", "--g-min", "0.1", "--g-max", "0.3",
      "--n-max=0"),
+    ("gfunction", "--N", "1", "--delta", "1.0", "--g-min", "0.1",
+     "--g-max", "1.5", "--tol=-1"),
+    ("gfunction", "--N", "1", "--delta", "1.0", "--g-min", "0.1",
+     "--g-max", "1.5", "--tol=0"),
 ])
 def test_nonfinite_or_negative_input_is_usage_error(capsys, argv):
     code = main(list(argv))

@@ -6,14 +6,13 @@ import pytest
 import sympy
 
 from aqrm.cli import main
-from aqrm.constraint import ConstraintFamily, constraint_poly
+from aqrm.constraint import ConstraintFamily, constraint_poly, constraint_poly_at
 from aqrm.exactpoly import (
     BivarPoly,
     UniPoly,
-    cauchy_bound,
+    _root_bound,
     isolate_positive_roots,
     poly_div_x,
-    positive_root_count,
     refine_isolated,
     to_fraction,
 )
@@ -171,8 +170,11 @@ def test_unipoly_division_and_bound_stay_exact():
     assert q == UniPoly([0, Fraction(1, 2)]) and r == UniPoly([1])
     assert not any(isinstance(c, float) for c in q.coeffs + r.coeffs)
     assert type(q.coeffs[1]) is Fraction
-    bound = cauchy_bound(UniPoly([3, 0, 2]))
-    assert type(bound) is Fraction and bound == Fraction(5, 2)
+    # the top cell of root isolation: a power of two above every positive
+    # root of 2t^2 - 3: Kioustelidis 2 (3/2)^(1/2), its root rounded up to 2
+    bound = _root_bound([-3, 0, 2])
+    assert type(bound) is Fraction and bound == 4
+    assert _root_bound([3, 0, 2]) == 0
 
 
 def horner_shift(p: UniPoly, c) -> UniPoly:
@@ -233,7 +235,7 @@ def test_isolation_invariants_randomized():
     for _ in range(25):
         p, pos = known_root_poly(rng)
         ivs = isolate_positive_roots(p, Fraction(1, 2**20))
-        assert len(ivs) == len(pos) == positive_root_count(p)
+        assert len(ivs) == len(pos)
         for (lo, hi), root in zip(ivs, pos):
             assert lo <= root <= hi
             assert hi - lo <= Fraction(1, 2**20) or lo == hi == root
@@ -253,7 +255,6 @@ def test_isolation_matches_sympy_count():
             continue
         expr = sum(sympy.Rational(c) * t**i for i, c in enumerate(p.coeffs))
         want = len({r for r in sympy.Poly(expr, t).real_roots() if r > 0})
-        assert positive_root_count(p) == want
         assert len(isolate_positive_roots(p, Fraction(1, 1024))) == want
 
 
@@ -263,17 +264,6 @@ def test_refine_isolated_shrinks():
     lo, hi = refine_isolated(p, ivs[0], Fraction(1, 10**15))
     assert hi - lo <= Fraction(1, 10**15)
     assert p(lo) * p(hi) <= 0
-
-
-def test_cauchy_bound_contains_real_roots():
-    rng = random.Random(55)
-    t = sympy.Symbol("t")
-    for _ in range(10):
-        p, _ = known_root_poly(rng)
-        bound = cauchy_bound(p)
-        expr = sum(sympy.Rational(c) * t**i for i, c in enumerate(p.coeffs))
-        for r in sympy.Poly(expr, t).real_roots():
-            assert abs(r) <= bound
 
 
 def test_positive_root_count_matches_sympy():
@@ -291,65 +281,94 @@ def test_positive_root_count_matches_sympy():
         expr = sum(sympy.Rational(c) * t**i for i, c in enumerate(p.coeffs))
         poly = sympy.Poly(expr, t)
         want = len({r for r in poly.real_roots() if r > 0})
-        assert positive_root_count(p) == want
         ivs = isolate_positive_roots(p, Fraction(1, 2**20))
         assert len(ivs) == want
         for lo, hi in ivs:
             assert poly.count_roots(sympy.Rational(lo), sympy.Rational(hi)) == 1
 
 
+def assert_contract(p: UniPoly, ivs, precision):
+    """ivs are sorted, disjoint and at most precision wide; p changes sign
+    over each (lo, hi] or vanishes at hi, and (a, a) only at a root of p."""
+    for (_, hi_prev), (lo_next, _) in zip(ivs, ivs[1:]):
+        assert hi_prev < lo_next
+    for lo, hi in ivs:
+        assert 0 <= lo <= hi and hi - lo <= precision
+        if lo == hi:
+            assert p(lo) == 0
+        else:
+            assert p(lo) * p(hi) < 0 or p(hi) == 0, (precision, lo, hi)
+
+
 def test_isolation_edge_cases_follow_plain_bisection():
-    # (t-1)^2 (t-3): a double root; B = 8 and both roots are midpoints met
-    # while halving a one-root cell, so each collapses onto itself
-    p = UniPoly([-3, 7, -5, 1])
-    assert isolate_positive_roots(p, PREC) == [(1, 1), (3, 3)]
-    assert positive_root_count(p) == 2
-    # (t-1)(t-2): B = 4 and the first split point B/2 = 2 is a root, so the
-    # split moves to 2 + 4/8 = 5/2
-    p = UniPoly([2, -3, 1])
-    assert isolate_positive_roots(p, Fraction(1, 4)) == [
-        (Fraction(15, 16), Fraction(35, 32)), (Fraction(15, 8), Fraction(65, 32))]
-    assert isolate_positive_roots(p, Fraction(1, 1000)) == [
-        (Fraction(4095, 4096), Fraction(8195, 8192)),
-        (Fraction(4095, 2048), Fraction(16385, 8192))]
+    # the tree is plain bisection of (0, 2^e], 2^e the power-of-two root
+    # bound of the square-free part; each case is pinned to the intervals
+    # of that tree and checked against the contract, with sympy's Sturm
+    # count for "exactly one root in (lo, hi]" and for the total
     t = sympy.Symbol("t")
-    poly = sympy.Poly((t - 1) * (t - 2), t)
-    for lo, hi in isolate_positive_roots(p, PREC):
-        assert poly.count_roots(sympy.Rational(lo), sympy.Rational(hi)) == 1
-    # (t - 1/3)((t - 1/21)^2 + 1/64): the complex pair gives (0, 1/2] two
-    # sign changes, but it holds one root and is already narrow enough
+
+    def check(p, precision, want):
+        ivs = isolate_positive_roots(p, precision)
+        assert ivs == want
+        assert_contract(p, ivs, precision)
+        poly = sympy.Poly([sympy.Rational(c) for c in reversed(p.coeffs)], t)
+        for lo, hi in ivs:
+            closed = poly.count_roots(sympy.Rational(lo), sympy.Rational(hi))
+            assert closed - (lo < hi and p(lo) == 0) == 1
+        assert len(ivs) == len({r for r in poly.real_roots() if r > 0})
+
+    # (t-1)^2 (t-3): a double root; 2^e = 8 and both roots are midpoints
+    # met while halving a one-root cell, so each collapses onto itself
+    check(UniPoly([-3, 7, -5, 1]), PREC, [(1, 1), (3, 3)])
+    # (t-1)(t-2): 2^e = 8; (0, 4] holds both roots and its midpoint 2 is
+    # one, so the split moves to 2 + 4/8 = 5/2
+    p = UniPoly([2, -3, 1])
+    check(p, Fraction(1, 4), [
+        (Fraction(15, 16), Fraction(35, 32)), (Fraction(15, 8), Fraction(65, 32))])
+    check(p, Fraction(1, 1000), [
+        (Fraction(4095, 4096), Fraction(8195, 8192)),
+        (Fraction(4095, 2048), Fraction(16385, 8192))])
+    two_roots = [
+        (Fraction(8796093022205, 8796093022208), Fraction(4398046511105, 4398046511104)),
+        (Fraction(17592186044415, 8796093022208), Fraction(4398046511105, 2199023255552))]
+    check(p, PREC, two_roots)
+    # (t - 1/3)((t - 1/21)^2 + 1/64): 2^e = 1; the complex pair gives
+    # (0, 1/2] two sign changes, but it holds one root and is already
+    # narrow enough, so bisection stops there
     p = UniPoly([-Fraction(1, 3), 1]) * UniPoly(
         [Fraction(1, 21**2) + Fraction(1, 64), -Fraction(2, 21), 1])
-    assert isolate_positive_roots(p, Fraction(1, 2)) == [(0, Fraction(1, 2))]
-    # (t-1)(t-2)(t^2+1000): B = 3001, far above the largest root, so the
-    # tree starts some levels down; the cells are still those of (0, B]
+    check(p, Fraction(1, 2), [(0, Fraction(1, 2))])
+    # (t-1)(t-2)(t^2+1000): 2^e = 32 holds (t-1)(t-2)'s tree (0, 8] as a
+    # subtree, and the complex pair adds no root, so the intervals agree
     p = UniPoly([2, -3, 1]) * UniPoly([1000, 0, 1])
-    assert isolate_positive_roots(p, Fraction(1, 1000)) == [
-        (Fraction(4192397, 4194304), Fraction(2097699, 2097152)),
-        (Fraction(8387795, 4194304), Fraction(2097699, 1048576))]
-    assert isolate_positive_roots(p, PREC) == [
-        (Fraction(4503599627367575, 4503599627370496),
-         Fraction(281474976710661, 281474976710656)),
-        (Fraction(9007199254738151, 4503599627370496),
-         Fraction(281474976710661, 140737488355328))]
-    # 1000t - 1: B = 2 and the root lies below precision/2; halving (0, 2]
-    # stops at the first cell no wider than precision, (0, 1/16], not at
-    # the power-of-two root bound 1/256
-    p = UniPoly([-1, 1000])
-    assert isolate_positive_roots(p, Fraction(1, 10)) == [(0, Fraction(1, 16))]
-    # t - 1: B = 2 and the root bound is 2, above the root 1; a bound equal
-    # to the root would start at (0, 1] and keep (..., 1] instead of meeting
-    # 1 as the midpoint of (0, 2]
-    assert isolate_positive_roots(UniPoly([-1, 1]), PREC) == [(1, 1)]
-    # (t - 303/1024)(t^2 + 100): B = 101 and the root is 3/128 of the
-    # one-root cell (0, B/8], a midpoint that halving meets, so the
-    # interval collapses onto it; a root at hi keeps (..., hi]
+    check(p, Fraction(1, 1000), isolate_positive_roots(UniPoly([2, -3, 1]),
+                                                       Fraction(1, 1000)))
+    check(p, PREC, two_roots)
+    # 1000t - 1: 2^e = 1/256 lies below precision, so the top cell is the
+    # interval
+    check(UniPoly([-1, 1000]), Fraction(1, 10), [(0, Fraction(1, 256))])
+    # t - 1: 2^e = 2 lies above the root 1; a bound equal to the root would
+    # start at (0, 1] and keep (..., 1] instead of meeting 1 as the midpoint
+    # of (0, 2]
+    check(UniPoly([-1, 1]), PREC, [(1, 1)])
+    # (t - 303/1024)(t^2 + 100): 2^e = 8 and the root is 303/8192 of the
+    # one-root cell (0, 8], a midpoint that halving meets, so the interval
+    # collapses onto it; a root at hi keeps (..., hi]
     root = Fraction(303, 1024)
     p = UniPoly([-root, 1]) * UniPoly([100, 0, 1])
-    assert isolate_positive_roots(p, PREC) == [(root, root)]
+    check(p, PREC, [(root, root)])
     assert refine_isolated(p, (0, 1), PREC) == (root, root)
     assert refine_isolated(p, (0, root), PREC) == (
         Fraction(166576011607761, 562949953421312), root)
+
+
+@pytest.mark.parametrize("two_eps", (-2, 0, 1, 3))
+@pytest.mark.parametrize("N", (*range(1, 13), 24, 40))
+def test_isolation_contract_on_constraint_polynomials(N, two_eps):
+    for d in (Fraction(1, 2), Fraction(7, 3)):
+        p = constraint_poly_at(ConstraintFamily(N, two_eps), N, d)
+        for precision in (PREC, Fraction(1, 1000)):
+            assert_contract(p, isolate_positive_roots(p, precision), precision)
 
 
 def test_refine_isolated_half_open_contract():
