@@ -8,9 +8,9 @@ matrix whose low eigenvalues converge rapidly in n_max.
 
 Grouped by Fock level instead, the same matrix is block tridiagonal: level
 n is the 2x2 block [[n + eps, Delta], [Delta, n - eps]], and levels n - 1
-and n are coupled by g sqrt(n) diag(1, -1). Convergence flags use that
-structure: they count eigenvalues of the larger truncation below a shift
-in O(n_max) steps instead of diagonalizing it.
+and n are coupled by g sqrt(n) diag(1, -1). Convergence flags, for sweeps
+and confirmed crossings, count eigenvalues of the larger truncation below
+a shift in O(n_max) steps with that structure instead of diagonalizing it.
 """
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ import numpy as np
 from .constraint import CrossingRecord, refine_crossing
 
 DEFAULT_NMAX = 60
-ESCALATED_NMAX = 120
 
 #: an eigenvalue is converged when growing the truncation by this margin
 #: moves it by less than CONV_TOL
@@ -194,13 +193,13 @@ def confirm_crossing(record: CrossingRecord,
     The record pins lambda = N - g^2 + eps at g derived from the isolated
     root of the constraint polynomial; the truncated spectrum must contain
     two eigenvalues within DEGENERACY_TOL of that target and of each other.
-    Below ESCALATED_NMAX a missed pair, or a hit whose pair moves by
-    CONV_TOL or more at n_max + CONV_MARGIN, is checked again at a
-    truncation CONV_MARGIN larger, up to ESCALATED_NMAX; a miss skips that
-    convergence check. At ESCALATED_NMAX a hit is accepted without it and a
-    miss raises ValueError (wrong root, or truncation too small). A record
-    too wide for DEGENERACY_TOL is refined first.
+    A record too wide for DEGENERACY_TOL is refined first. One solve at
+    n = max(n_max, ceil(2.5 (lambda + 2 g^2) + 20)) must give a pair that
+    moves by less than CONV_TOL at n + CONV_MARGIN, else ValueError names a
+    "truncation"; a converged pair off the target raises a "miss".
     """
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     precision = Fraction(DEGENERACY_TOL) * CONFIRM_WIDTH
     lo, hi = record.root_interval
     if hi - lo > precision:
@@ -209,23 +208,23 @@ def confirm_crossing(record: CrossingRecord,
     target = record.lambda_
     params = ModelParams(g=g_star, delta=math.sqrt(float(record.d_value)),
                          eps=record.two_eps / 2.0)
-    ev = eigenvalues(params, n_max)
+    # a level at lambda is a Fock state of lambda + g^2 photons displaced by
+    # g: it reaches (sqrt(lambda + g^2) + g)^2 <= 2 (lambda + 2 g^2) photons,
+    # and the slope 2.5 and 20 more levels hold the tail beyond that
+    n = max(n_max, math.ceil(2.5 * (record.N + params.eps + g_star**2) + 20))
+    ev = eigenvalues(params, n)
     order = np.argsort(np.abs(ev - target))
     i, j = sorted((int(order[0]), int(order[1])))
+    if not _converged(g_star, params.delta, params.eps, n, ev[[i, j]],
+                      np.array([i, j])).all():
+        raise ValueError(f"truncation n_max={n} too small at lambda={target}")
     err_i = abs(ev[i] - target)
     err_j = abs(ev[j] - target)
     gap = abs(ev[j] - ev[i])
-    missed = (err_i > DEGENERACY_TOL or err_j > DEGENERACY_TOL
-              or gap > DEGENERACY_TOL)
-    if n_max < ESCALATED_NMAX and (missed or not _converged(
-            g_star, params.delta, params.eps, n_max, ev[[i, j]],
-            np.array([i, j])).all()):
-        return confirm_crossing(
-            record, n_max=min(n_max + CONV_MARGIN, ESCALATED_NMAX))
-    if missed:
+    if max(err_i, err_j, gap) > DEGENERACY_TOL:
         raise ValueError(
             f"no degenerate pair at lambda={target}: nearest eigenvalues miss "
-            f"by ({err_i:.3e}, {err_j:.3e}) with gap {gap:.3e} at n_max={n_max}")
+            f"by ({err_i:.3e}, {err_j:.3e}) with gap {gap:.3e} at n_max={n}")
     return CrossingObservation(
         g_star=g_star,
         lambda_star=0.5 * float(ev[i] + ev[j]),

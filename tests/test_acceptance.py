@@ -174,6 +174,27 @@ def test_criterion_05_crossings_confirmed_and_discriminated():
     print("criterion 5: PASS (gaps < 1e-7 at roots, > 1e-3 off-root)")
 
 
+def test_every_root_confirms_to_level_40():
+    # window k of d is (k (k + 2 eps), (k + 1) (k + 1 + 2 eps)), with N - k
+    # roots; each window below holds positive d. N = 30 and 40 in the lowest
+    # and the middle window at the default floor, then every window for
+    # N <= 6 with the floor at 1, so the derived truncation acts alone
+    cases = [(N, two_eps, k, spectrum.DEFAULT_NMAX) for N in (30, 40)
+             for two_eps in (-2, 0, 1, 3) for k in (max(0, -two_eps), N // 2)]
+    cases += [(N, two_eps, k, 1) for N in range(1, 7)
+              for two_eps in range(-2, 4) for k in range(max(0, -two_eps), N)]
+    roots = 0
+    for N, two_eps, k, n_max in cases:
+        d = Fraction(k * (k + two_eps) + (k + 1) * (k + 1 + two_eps), 2)
+        records = constraint.find_crossings(N, two_eps, d, PREC)
+        assert len(records) == N - k, (N, two_eps, k)
+        for rec in records:
+            obs = spectrum.confirm_crossing(rec, n_max=n_max)
+            assert obs.gap < 1e-7, (N, two_eps, k, rec.root_interval)
+        roots += len(records)
+    print(f"every root confirms: PASS ({roots} roots, N<=40)")
+
+
 def test_criterion_06_block_equals_tridiagonal_all_families():
     rng = random.Random(2024)
     for N in range(1, 9):

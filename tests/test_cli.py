@@ -103,7 +103,7 @@ def test_crossings_confirm_failure_keeps_every_record(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == "confirmation failed: injected miss\n"
-    # no record escalates here, so each makes exactly one call
+    # confirm_crossing is called exactly once per record
     rows = [json.loads(ln) for ln in captured.out.split("\n") if ln]
     assert len(rows) == len(calls) == 3
     assert "gap" not in rows[1]

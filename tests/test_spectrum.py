@@ -189,18 +189,38 @@ def logged_truncations(monkeypatch) -> list[tuple[str, int]]:
     return log
 
 
-def test_confirm_escalates_in_margin_steps(monkeypatch):
+def test_confirm_solves_once_at_derived_truncation(monkeypatch):
     log = logged_truncations(monkeypatch)
-    # g^2 = 8.70: the pair hits at n_max 60 but moves at 80, and is
-    # converged at 80 (checked at 100)
-    rec = find_crossings(10, 3, Fraction(1, 2), PREC)[-1]
-    assert confirm_crossing(rec).gap < 1e-7
-    assert log == [("solve", 60), ("count", 80), ("solve", 80), ("count", 100)]
-    # g^2 = 9.18: the pair misses at 60, which needs no convergence check
-    log.clear()
-    rec = find_crossings(11, 2, Fraction(1, 2), PREC)[-1]
-    assert confirm_crossing(rec).gap < 1e-7
-    assert log == [("solve", 60), ("solve", 80), ("count", 100)]
+    # n = ceil(2.5 (N + eps + g^2) + 20): g^2 = 8.70 gives 71 (a hit at 60
+    # that moves at 80), g^2 = 9.18 gives 73 (a miss at 60); a larger n_max
+    # is a floor
+    for N, two_eps, n in ((10, 3, 71), (11, 2, 73)):
+        rec = find_crossings(N, two_eps, Fraction(1, 2), PREC)[-1]
+        for n_max, want in ((60, n), (200, 200)):
+            log.clear()
+            assert confirm_crossing(rec, n_max=n_max).gap < 1e-7
+            assert log == [("solve", want), ("count", want + 20)]
+
+
+def test_confirm_failure_names_its_cause(monkeypatch, capsys):
+    rec = find_crossings(1, 0, Fraction(1, 2), PREC)[0]
+    with pytest.raises(ValueError, match="n_max must be >= 1"):
+        confirm_crossing(rec, n_max=0)
+    count_below = spectrum._count_below
+
+    def one_level_fell(g, delta, eps, n_max, shifts):
+        return count_below(g, delta, eps, n_max, shifts) + 1
+
+    monkeypatch.setattr(spectrum, "_count_below", one_level_fell)
+    with pytest.raises(ValueError) as info:
+        confirm_crossing(rec)
+    assert str(info.value) == (
+        f"truncation n_max=60 too small at lambda={rec.lambda_}")
+    assert main(["crossings", "--N", "1", "--delta2", "1/2",
+                 "--confirm"]) == 2
+    assert capsys.readouterr().err == (
+        f"confirmation failed: truncation n_max=60 too small at "
+        f"lambda={rec.lambda_}\n")
 
 
 def test_confirm_rejects_perturbed_root(monkeypatch):
@@ -212,10 +232,14 @@ def test_confirm_rejects_perturbed_root(monkeypatch):
     fake = CrossingRecord(N=rec.N, two_eps=rec.two_eps, d_value=rec.d_value,
                           root_interval=(lo * factor, hi * factor),
                           rep_pair=rec.rep_pair)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         confirm_crossing(fake)
-    # a miss goes straight to the next truncation, up to the cap
-    assert log == [("solve", n) for n in (60, 80, 100, 120)]
+    # the pair has converged, so the cause is a miss, found in one solve
+    assert str(info.value).startswith(
+        f"no degenerate pair at lambda={fake.lambda_}: nearest eigenvalues "
+        "miss by ")
+    assert str(info.value).endswith(" at n_max=60")
+    assert log == [("solve", 60), ("count", 80)]
     # the avoided crossing at the perturbed point is wide open
     g = fake.g
     ev = eigenvalues(ModelParams(g, math.sqrt(0.5)), 60)
