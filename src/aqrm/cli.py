@@ -61,11 +61,17 @@ def _n_max(args) -> int:
 
 
 def _emit(args, text: str) -> None:
+    """Write text to --out, else to stdout; an unwritable --out is a usage
+    error."""
     if not text.endswith("\n"):
         text += "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(
+                f"cannot write {args.out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -278,13 +284,17 @@ def _cmd_sweep(args) -> int:
                            "gap": c.gap, "indices": list(c.indices)}
                           for c in sw.crossings]}))
     else:
-        # one string per g keeps the peak memory near that of the text itself
+        # one template fills every g's rows; one string per g keeps the peak
+        # memory near that of the text itself
+        width = sw.table.shape[1]
+        template = "\n".join(f"%s,{idx},%r,%s" for idx in range(width))
+        fields = [None] * (3 * width)
         rows = ["g,index,eigenvalue,converged"]
         for g, evs, flags in zip(sw.g_grid, sw.table, sw.converged):
-            rows.append("\n".join(
-                f"{g!r},{idx},{ev!r},{flag}"
-                for idx, (ev, flag) in enumerate(zip(evs.tolist(),
-                                                     flags.tolist()))))
+            fields[0::3] = [repr(g)] * width
+            fields[1::3] = evs.tolist()
+            fields[2::3] = flags.tolist()
+            rows.append(template % tuple(fields))
         _emit(args, "\n".join(rows))
     return EXIT_OK
 

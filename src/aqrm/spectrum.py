@@ -52,26 +52,53 @@ class ModelParams:
                 raise ValueError(f"{name} must be finite")
 
 
-def build_hamiltonian(params: ModelParams, n_max: int) -> np.ndarray:
-    """Dense symmetric matrix in the truncated sigma_x-diagonal basis."""
+def _diagonal(h: np.ndarray, row: int, col: int, length: int) -> np.ndarray:
+    """Writable strided view of h[row + i, col + i] for i < length."""
+    step = h.shape[1] + 1
+    start = row * h.shape[1] + col
+    return h.reshape(-1)[start:start + (length - 1) * step + 1:step]
+
+
+def _base_hamiltonian(delta: float, eps: float, n_max: int) -> np.ndarray:
+    """The g-independent part of the Hamiltonian: the diagonal n +- eps and
+    the Delta couplings between the blocks, with zero hops."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     dim = n_max + 1
     h = np.zeros((2 * dim, 2 * dim))
-    rows = np.arange(dim)
-    number = rows.astype(float)
-    hop = params.g * np.sqrt(number[1:])
-    # filled in place: dense temporaries per block would triple the peak
-    # memory of the matrix itself
-    for block, sign in ((h[:dim, :dim], 1.0), (h[dim:, dim:], -1.0)):
-        block[rows, rows] = number + sign * params.eps
-        block[rows[:-1], rows[1:]] = block[rows[1:], rows[:-1]] = sign * hop
-    h[rows, rows + dim] = h[rows + dim, rows] = params.delta
+    number = np.arange(dim, dtype=float)
+    _diagonal(h, 0, 0, dim)[:] = number + eps
+    _diagonal(h, dim, dim, dim)[:] = number - eps
+    _diagonal(h, 0, dim, dim)[:] = delta
+    _diagonal(h, dim, 0, dim)[:] = delta
+    return h
+
+
+def _set_hops(h: np.ndarray, g: float) -> None:
+    """Write the hops +-g sqrt(n) between Fock levels n - 1 and n of the
+    upper (+) and lower (-) block of h in place."""
+    dim = h.shape[0] // 2
+    hop = g * np.sqrt(np.arange(1, dim, dtype=float))
+    _diagonal(h, 0, 1, dim - 1)[:] = _diagonal(h, 1, 0, dim - 1)[:] = hop
+    hop = -hop
+    _diagonal(h, dim, dim + 1, dim - 1)[:] = hop
+    _diagonal(h, dim + 1, dim, dim - 1)[:] = hop
+
+
+def build_hamiltonian(params: ModelParams, n_max: int) -> np.ndarray:
+    """Dense symmetric matrix in the truncated sigma_x-diagonal basis."""
+    h = _base_hamiltonian(params.delta, params.eps, n_max)
+    _set_hops(h, params.g)
     return h
 
 
 def eigenvalues(params: ModelParams, n_max: int) -> np.ndarray:
-    """Ascending eigenvalues of the truncated Hamiltonian."""
+    """Ascending eigenvalues of the truncated Hamiltonian.
+
+    numpy's eigvalsh can differ in the last digit with the BLAS thread
+    count, so the values are bit for bit reproducible only at a fixed
+    count (OPENBLAS_NUM_THREADS=1, say).
+    """
     return np.linalg.eigvalsh(build_hamiltonian(params, n_max))
 
 
@@ -162,12 +189,25 @@ class SpectralSweep:
 
 def sweep(delta: float, eps: float, g_grid,
           n_max: int = DEFAULT_NMAX) -> SpectralSweep:
-    """Tabulate the spectrum over a grid of couplings, noting degeneracies."""
+    """Tabulate the spectrum over a grid of couplings, noting degeneracies.
+
+    One matrix serves the whole sweep: its g-independent part is built once,
+    and each g rewrites only the hops before the solve. Each row equals
+    eigenvalues(ModelParams(g, delta, eps), n_max) bit for bit, and like it
+    is reproducible only at a fixed BLAS thread count.
+    """
     grid = tuple(float(g) for g in g_grid)
     if not grid:
         raise ValueError("g_grid must be nonempty")
-    table = np.array([eigenvalues(ModelParams(g=g, delta=delta, eps=eps),
-                                  n_max) for g in grid])
+    for g in grid:
+        ModelParams(g=g, delta=delta, eps=eps)
+    h = _base_hamiltonian(delta, eps, n_max)
+    table = np.empty((len(grid), len(h)))
+    for row, g in zip(table, grid):
+        _set_hops(h, g)
+        row[:] = np.linalg.eigvalsh(h)
+    # the matrix is dead here: freeing it keeps it out of the count's peak
+    del h
     # one count for the whole table: per-g calls would pay numpy's per-call
     # overhead len(grid) times over
     converged = _converged(np.array(grid)[:, None], delta, eps, n_max, table,

@@ -200,6 +200,41 @@ def test_sweep_csv(capsys):
     assert len(lines) == 1 + 2 * 26
 
 
+def test_sweep_csv_rows_match_per_row_formatting(capsys):
+    # a g printed in scientific notation, a negative g, and at g = -1.6 with
+    # n_max = 8 top levels that have not converged
+    g_min, g_max, steps, n_max = 1e-20, -1.6, 3, 8
+    code, out = run(capsys, "sweep", "--delta", "2.0", "--eps", "0.3",
+                    "--g-min", repr(g_min), "--g-max", repr(g_max),
+                    "--steps", str(steps), "--n-max", str(n_max))
+    assert code == 0
+    grid = [g_min + (g_max - g_min) * i / (steps - 1) for i in range(steps)]
+    sw = aqrm.sweep(2.0, 0.3, grid, n_max=n_max)
+    rows = ["g,index,eigenvalue,converged"]
+    for g, evs, flags in zip(grid, sw.table, sw.converged):
+        rows += [f"{g!r},{idx},{ev!r},{flag}"
+                 for idx, (ev, flag) in enumerate(zip(evs.tolist(),
+                                                      flags.tolist()))]
+    assert out == "\n".join(rows) + "\n"
+    assert out.startswith("g,index,eigenvalue,converged\n1e-20,0,")
+    assert "\n-0.8,0," in out and ",True\n" in out and ",False\n" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--delta", "0.5", "--g-min", "0.1", "--g-max", "0.3",
+     "--steps", "3", "--n-max", "10"),
+    ("poly", "--N", "2", "--k", "2"),
+])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "x.csv"
+    code = main([*argv, "--out", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (f"aqrm {argv[0]}: cannot write {path}: "
+                            "No such file or directory\n")
+
+
 def test_sweep_json_reports_judd_point_crossing(capsys):
     # Delta = 1/sqrt(2), g = Delta/2 is a root of P_1 = x + d - 1, so
     # eigenvalues 2 and 3 meet at lambda = 1 - g^2; both grid points are

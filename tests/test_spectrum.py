@@ -175,16 +175,17 @@ def logged_truncations(monkeypatch) -> list[tuple[str, int]]:
     eigenvalue count as ("count", n_max)."""
     log = []
     count_below = spectrum._count_below
+    eigvalsh = np.linalg.eigvalsh
 
-    def logged_solve(params, n_max):
-        log.append(("solve", n_max))
-        return eigenvalues(params, n_max)
+    def logged_solve(h):
+        log.append(("solve", len(h) // 2 - 1))
+        return eigvalsh(h)
 
     def logged_count(g, delta, eps, n_max, shifts):
         log.append(("count", n_max))
         return count_below(g, delta, eps, n_max, shifts)
 
-    monkeypatch.setattr(spectrum, "eigenvalues", logged_solve)
+    monkeypatch.setattr(np.linalg, "eigvalsh", logged_solve)
     monkeypatch.setattr(spectrum, "_count_below", logged_count)
     return log
 
@@ -257,6 +258,22 @@ def test_sweep_single_point_matches_direct():
     assert np.array_equal(sw.converged[0], convergence_flags(params, 40, ev))
 
 
+@pytest.mark.parametrize("n_max, delta, eps, grid", [
+    (1, 0.8, 0.3, [0.0, -0.7, 0.4, 1e-20, -0.0]),
+    (60, 1.3, -0.37, [1.2, 0.6, 0.0, -0.6, -1.2]),
+    (60, 0.0, 0.5, [-0.3, 0.0, 0.9]),
+    (200, 0.45, 0.21, [-1.1]),
+])
+def test_sweep_rows_equal_fresh_solves(n_max, delta, eps, grid):
+    # the sweep rewrites one matrix per g: a hop left over from an earlier g
+    # would show as a row that differs from a solve on a fresh matrix
+    sw = sweep(delta, eps, grid, n_max=n_max)
+    assert sw.table.shape == (len(grid), 2 * (n_max + 1))
+    for g, row in zip(grid, sw.table):
+        assert row.tobytes() == eigenvalues(ModelParams(g, delta, eps),
+                                            n_max).tobytes()
+
+
 def test_sweep_flags_match_per_point_flags(monkeypatch):
     log = logged_truncations(monkeypatch)
     grid = np.linspace(0.1, 1.6, 41)
@@ -284,6 +301,10 @@ def test_sweep_csv_format(capsys):
 def test_sweep_validation():
     with pytest.raises(ValueError):
         sweep(0.5, 0.0, [], n_max=12)
+    with pytest.raises(ValueError, match="g must be finite"):
+        sweep(0.5, 0.1, [0.2, float("nan")], n_max=10)
+    with pytest.raises(ValueError, match="n_max must be >= 1"):
+        sweep(0.5, 0.1, [0.2], n_max=0)
 
 
 def test_sweep_avoided_crossings_at_generic_asymmetry():
