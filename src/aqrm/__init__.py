@@ -53,6 +53,7 @@ _SPECTRUM_NAMES = (
     "SpectralSweep",
     "build_hamiltonian",
     "confirm_crossing",
+    "confirm_crossings",
     "convergence_flags",
     "sweep",
 )

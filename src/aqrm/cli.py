@@ -118,21 +118,24 @@ def _cmd_crossings(args) -> int:
         n_max = _n_max(args)
     records = constraint.find_crossings(args.N, args.two_eps, args.delta2,
                                         args.precision)
+    if args.confirm:
+        # one batch: the level pairs are counted once per truncation
+        confirmed = spectrum.confirm_crossings(records, n_max=n_max)
     payload, code = [], EXIT_OK
-    for rec in records:
+    for k, rec in enumerate(records):
         lo, hi = rec.root_interval
         row = {"N": rec.N, "two_eps": rec.two_eps, "d": str(rec.d_value),
                "x_lo": str(lo), "x_hi": str(hi), "g": rec.g,
                "lambda": rec.lambda_,
                "modules": list(rec.rep_pair) if rec.rep_pair else []}
         if args.confirm:
-            try:
-                obs = spectrum.confirm_crossing(rec, n_max=n_max)
+            obs = confirmed[k]
+            if isinstance(obs, ValueError):
+                sys.stderr.write(f"confirmation failed: {obs}\n")
+                code = EXIT_VERIFICATION
+            else:
                 row["gap"] = obs.gap
                 row["lambda_observed"] = obs.lambda_star
-            except ValueError as exc:
-                sys.stderr.write(f"confirmation failed: {exc}\n")
-                code = EXIT_VERIFICATION
         payload.append(row)
     if args.format == "json":
         _emit(args, _json_lines(payload) if payload else "")

@@ -11,6 +11,8 @@ n is the 2x2 block [[n + eps, Delta], [Delta, n - eps]], and levels n - 1
 and n are coupled by g sqrt(n) diag(1, -1). Convergence flags, for sweeps
 and confirmed crossings, count eigenvalues of the larger truncation below
 a shift in O(n_max) steps with that structure instead of diagonalizing it.
+A sweep makes one count for its whole table, and confirm_crossings one
+count per truncation per command.
 """
 from __future__ import annotations
 
@@ -226,26 +228,25 @@ def sweep(delta: float, eps: float, g_grid,
                          crossings=tuple(found))
 
 
-def confirm_crossing(record: CrossingRecord,
-                     n_max: int = DEFAULT_NMAX) -> CrossingObservation:
-    """Check a predicted exact crossing against direct diagonalization.
+@dataclass(frozen=True)
+class _Pair:
+    """The two levels nearest a record's lambda, solved at truncation n."""
 
-    The record pins lambda = N - g^2 + eps at g derived from the isolated
-    root of the constraint polynomial; the truncated spectrum must contain
-    two eigenvalues within DEGENERACY_TOL of that target and of each other.
-    A record too wide for DEGENERACY_TOL is refined first. One solve at
-    n = max(n_max, ceil(2.5 (lambda + 2 g^2) + 20)) must give a pair that
-    moves by less than CONV_TOL at n + CONV_MARGIN, else ValueError names a
-    "truncation"; a converged pair off the target raises a "miss".
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    group: tuple[float, float, int]  # (delta, eps, n)
+    g: float
+    target: float
+    indices: tuple[int, int]
+    values: np.ndarray  # the two eigenvalues, ascending
+
+
+def _nearest_pair(record: CrossingRecord, n_max: int) -> _Pair:
+    """Refine the record if it is too wide, solve once at its derived
+    truncation n and pick the two levels nearest its lambda."""
     precision = Fraction(DEGENERACY_TOL) * CONFIRM_WIDTH
     lo, hi = record.root_interval
     if hi - lo > precision:
         record = refine_crossing(record, precision)
     g_star = record.g
-    target = record.lambda_
     params = ModelParams(g=g_star, delta=math.sqrt(float(record.d_value)),
                          eps=record.two_eps / 2.0)
     # a level at lambda is a Fock state of lambda + g^2 photons displaced by
@@ -253,19 +254,80 @@ def confirm_crossing(record: CrossingRecord,
     # and the slope 2.5 and 20 more levels hold the tail beyond that
     n = max(n_max, math.ceil(2.5 * (record.N + params.eps + g_star**2) + 20))
     ev = eigenvalues(params, n)
-    order = np.argsort(np.abs(ev - target))
+    order = np.argsort(np.abs(ev - record.lambda_))
     i, j = sorted((int(order[0]), int(order[1])))
-    if not _converged(g_star, params.delta, params.eps, n, ev[[i, j]],
-                      np.array([i, j])).all():
-        raise ValueError(f"truncation n_max={n} too small at lambda={target}")
-    err_i = abs(ev[i] - target)
-    err_j = abs(ev[j] - target)
-    gap = abs(ev[j] - ev[i])
+    return _Pair((params.delta, params.eps, n), g_star, record.lambda_,
+                 (i, j), ev[[i, j]])
+
+
+def confirm_crossings(records, n_max: int = DEFAULT_NMAX
+                      ) -> list[CrossingObservation | ValueError]:
+    """Check predicted exact crossings against direct diagonalization.
+
+    Each record pins lambda = N - g^2 + eps at g derived from the isolated
+    root of the constraint polynomial; the truncated spectrum must contain
+    two eigenvalues within DEGENERACY_TOL of that target and of each other.
+    A record too wide for DEGENERACY_TOL is refined first. One solve at
+    n = max(n_max, ceil(2.5 (lambda + 2 g^2) + 20)) must give a pair that
+    moves by less than CONV_TOL at n + CONV_MARGIN, else the record fails
+    with a "truncation"; a converged pair off the target is a "miss".
+
+    Returns, in record order, a CrossingObservation or the ValueError that
+    names the record's failure. The pairs are counted once per truncation
+    (and Delta, eps) for the whole batch, so a command confirming its
+    crossings in one call makes one count per truncation per command.
+    """
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    results, groups = [], {}
+    for record in records:
+        try:
+            pair = _nearest_pair(record, n_max)
+        except ValueError as exc:
+            results.append(exc)
+            continue
+        groups.setdefault(pair.group, []).append(len(results))
+        results.append(pair)
+    for (delta, eps, n), lanes in groups.items():
+        pairs = [results[lane] for lane in lanes]
+        # one count for the group: per-record calls would pay numpy's
+        # per-call overhead once per record
+        converged = _converged(np.array([[p.g] for p in pairs]), delta, eps,
+                               n, np.array([p.values for p in pairs]),
+                               np.array([p.indices for p in pairs])).all(axis=1)
+        for lane, pair, ok in zip(lanes, pairs, converged):
+            results[lane] = _observe(pair, ok)
+    return results
+
+
+def _observe(pair: _Pair, converged: bool):
+    """The observation of a solved pair, or the ValueError naming why it
+    does not confirm its record."""
+    n = pair.group[2]
+    target = pair.target
+    (i, j), (ev_i, ev_j) = pair.indices, pair.values
+    if not converged:
+        return ValueError(f"truncation n_max={n} too small at lambda={target}")
+    err_i = abs(ev_i - target)
+    err_j = abs(ev_j - target)
+    gap = abs(ev_j - ev_i)
     if max(err_i, err_j, gap) > DEGENERACY_TOL:
-        raise ValueError(
+        return ValueError(
             f"no degenerate pair at lambda={target}: nearest eigenvalues miss "
             f"by ({err_i:.3e}, {err_j:.3e}) with gap {gap:.3e} at n_max={n}")
     return CrossingObservation(
-        g_star=g_star,
-        lambda_star=0.5 * float(ev[i] + ev[j]),
+        g_star=pair.g,
+        lambda_star=0.5 * float(ev_i + ev_j),
         gap=float(gap), indices=(i, j))
+
+
+def confirm_crossing(record: CrossingRecord,
+                     n_max: int = DEFAULT_NMAX) -> CrossingObservation:
+    """confirm_crossings for one record: its observation, or its ValueError
+    raised. Confirming many records, call confirm_crossings once instead,
+    which makes one count per truncation per command rather than one per
+    record."""
+    (result,) = confirm_crossings([record], n_max)
+    if isinstance(result, ValueError):
+        raise result
+    return result

@@ -88,24 +88,25 @@ def test_roots_csv_counts_window_roots(capsys, k):
 def test_crossings_confirm_failure_keeps_every_record(capsys, monkeypatch):
     from aqrm import spectrum
 
-    real = spectrum.confirm_crossing
+    real = spectrum.confirm_crossings
     calls = []
 
-    def fail_second(record, **kwargs):
-        calls.append(record)
-        if len(calls) == 2:
-            raise ValueError("injected miss")
-        return real(record, **kwargs)
+    def fail_second(records, **kwargs):
+        calls.append(list(records))
+        results = real(records, **kwargs)
+        results[1] = ValueError("injected miss")
+        return results
 
-    monkeypatch.setattr(spectrum, "confirm_crossing", fail_second)
+    monkeypatch.setattr(spectrum, "confirm_crossings", fail_second)
     code = main(["crossings", "--N", "3", "--two-eps", "1", "--delta2", "1/2",
                  "--confirm"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == "confirmation failed: injected miss\n"
-    # confirm_crossing is called exactly once per record
+    # the batch is called once, with every record
     rows = [json.loads(ln) for ln in captured.out.split("\n") if ln]
-    assert len(rows) == len(calls) == 3
+    assert len(calls) == 1
+    assert len(rows) == len(calls[0]) == 3
     assert "gap" not in rows[1]
     assert all(row["gap"] < 1e-7 for row in (rows[0], rows[2]))
 
@@ -189,6 +190,20 @@ def test_gfunction_nonpositive_level_is_usage_error(capsys, N):
 def test_gfunction_missing_range_is_usage_error(capsys):
     code, _ = run(capsys, "gfunction", "--N", "1", "--delta", "0.4")
     assert code == 1
+
+
+@pytest.mark.parametrize("span", [["--g", "15"],
+                                  ["--g-min", "0.1", "--g-max", "15"]])
+def test_gfunction_series_cap_fails_cleanly(capsys, span):
+    # past N_STOP_MAX terms the series gives up; the CLI maps that
+    # RuntimeError to exit 2 today, and ROADMAP item 8 will retype it as a
+    # numerical limit
+    code = main(["gfunction", "--N", "1", "--delta", "1", *span])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "aqrm gfunction: series did not converge within 5000 terms (g=")
 
 
 def test_sweep_csv(capsys):

@@ -13,6 +13,7 @@ from aqrm.spectrum import (
     ModelParams,
     build_hamiltonian,
     confirm_crossing,
+    confirm_crossings,
     convergence_flags,
     eigenvalues,
     sweep,
@@ -224,15 +225,18 @@ def test_confirm_failure_names_its_cause(monkeypatch, capsys):
         f"lambda={rec.lambda_}\n")
 
 
-def test_confirm_rejects_perturbed_root(monkeypatch):
-    log = logged_truncations(monkeypatch)
-    rec = find_crossings(1, 0, Fraction(1, 2), PREC)[0]
+def _perturbed(rec: CrossingRecord) -> CrossingRecord:
+    """The record with x scaled by (1.05)^2, so that g moves by 5%."""
     lo, hi = rec.root_interval
-    # shift x by (1.05)^2 so g moves by 5%
     factor = Fraction(441, 400)
-    fake = CrossingRecord(N=rec.N, two_eps=rec.two_eps, d_value=rec.d_value,
+    return CrossingRecord(N=rec.N, two_eps=rec.two_eps, d_value=rec.d_value,
                           root_interval=(lo * factor, hi * factor),
                           rep_pair=rec.rep_pair)
+
+
+def test_confirm_rejects_perturbed_root(monkeypatch):
+    log = logged_truncations(monkeypatch)
+    fake = _perturbed(find_crossings(1, 0, Fraction(1, 2), PREC)[0])
     with pytest.raises(ValueError) as info:
         confirm_crossing(fake)
     # the pair has converged, so the cause is a miss, found in one solve
@@ -248,6 +252,54 @@ def test_confirm_rejects_perturbed_root(monkeypatch):
     order = np.argsort(np.abs(ev - target))
     gap = abs(ev[order[0]] - ev[order[1]])
     assert gap > 1e-3
+
+
+def test_confirm_batch_matches_one_record_calls(monkeypatch):
+    d = Fraction(7, 3)
+    n30, n40 = find_crossings(30, 1, d, PREC), find_crossings(40, 1, d, PREC)
+    small = find_crossings(3, 1, d, PREC) + find_crossings(12, 1, d, PREC)
+    # derived truncations from 30 to 211, some shared within and across N;
+    # at floor 60 every N <= 12 record but the last four joins one group
+    records = (n40[:4] + small[:1] + [_perturbed(small[1])] + small[2:]
+               + n30[:6] + n30[-1:] + n40[10::10])
+    forced = small[7]
+    count_below = spectrum._count_below
+
+    def forced_lane_fell(g, delta, eps, n_max, shifts):
+        counts = count_below(g, delta, eps, n_max, shifts)
+        return counts + (np.broadcast_to(g, counts.shape) == forced.g)
+
+    monkeypatch.setattr(spectrum, "_count_below", forced_lane_fell)
+    log = logged_truncations(monkeypatch)
+    assert confirm_crossings([]) == [] and log == []
+    for n_max in (1, 60):
+        log.clear()
+        batch = confirm_crossings(records, n_max=n_max)
+        solves = [n for kind, n in log if kind == "solve"]
+        counts = [n for kind, n in log if kind == "count"]
+        # one solve per record, and one count per distinct truncation
+        assert len(solves) == len(records)
+        assert counts == [n + spectrum.CONV_MARGIN
+                          for n in dict.fromkeys(solves)]
+        assert len(counts) < len(records)
+        failures = []
+        for rec, got in zip(records, batch):
+            try:
+                want = confirm_crossing(rec, n_max=n_max)
+            except ValueError as exc:
+                assert isinstance(got, ValueError)
+                assert str(got) == str(exc)
+                failures.append(str(got))
+            else:
+                # repr spells every float exactly
+                assert repr(got) == repr(want)
+        lam_miss = records[5].lambda_
+        assert failures == [
+            f"no degenerate pair at lambda={lam_miss}: nearest eigenvalues "
+            f"miss by (7.517e-02, 1.590e-01) with gap 2.342e-01 at "
+            f"n_max={max(n_max, 33)}",
+            f"truncation n_max={max(n_max, 58)} too small at "
+            f"lambda={forced.lambda_}"]
 
 
 def test_sweep_single_point_matches_direct():
