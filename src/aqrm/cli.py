@@ -119,7 +119,7 @@ def _cmd_crossings(args) -> int:
     records = constraint.find_crossings(args.N, args.two_eps, args.delta2,
                                         args.precision)
     if args.confirm:
-        # one batch: the level pairs are counted once per truncation
+        # one batch: one count per command, with a truncation per lane
         confirmed = spectrum.confirm_crossings(records, n_max=n_max)
     payload, code = [], EXIT_OK
     for k, rec in enumerate(records):

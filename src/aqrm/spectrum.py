@@ -12,7 +12,7 @@ and n are coupled by g sqrt(n) diag(1, -1). Convergence flags, for sweeps
 and confirmed crossings, count eigenvalues of the larger truncation below
 a shift in O(n_max) steps with that structure instead of diagonalizing it.
 A sweep makes one count for its whole table, and confirm_crossings one
-count per truncation per command.
+count per command, with a truncation per lane.
 """
 from __future__ import annotations
 
@@ -104,9 +104,10 @@ def eigenvalues(params: ModelParams, n_max: int) -> np.ndarray:
     return np.linalg.eigvalsh(build_hamiltonian(params, n_max))
 
 
-def _count_below(g, delta: float, eps: float, n_max: int, shifts) -> np.ndarray:
+def _count_below(g, delta: float, eps: float, n_max, shifts) -> np.ndarray:
     """Number of eigenvalues of the truncated Hamiltonian below each shift,
-    elementwise over shifts, with g broadcast against them.
+    elementwise over shifts, with g and n_max broadcast against them, so
+    that a command makes one count, with a truncation per lane.
 
     By Sylvester's law of inertia this is the number of negative eigenvalues
     of the pivot blocks of the block LDL^T factorization of H - s:
@@ -117,6 +118,10 @@ def _count_below(g, delta: float, eps: float, n_max: int, shifts) -> np.ndarray:
     rho away from singular, rho being machine epsilon times a Gershgorin
     bound: the count is then that of a matrix within rho of H, and no
     determinant the recurrence divides by is zero.
+
+    The recurrence runs to the largest truncation, and a lane's balance
+    stops at its own: every lane keeps its own bound, rho and pivmin, so
+    its count is bit for bit that of a call with its n_max alone.
     """
     g2 = np.square(g)
     bound = n_max + abs(eps) + abs(delta) + 2 * np.sqrt(g2 * n_max) + 1
@@ -131,7 +136,8 @@ def _count_below(g, delta: float, eps: float, n_max: int, shifts) -> np.ndarray:
     # a is negative or positive: balance counts the blocks with none less
     # the blocks with two
     balance = np.zeros(np.shape(s))
-    for n in range(n_max + 1):
+    smallest = np.min(n_max)
+    for n in range(np.max(n_max) + 1):
         if n:
             inv = g2 * n / det
             a, b, c = (a0 + n) - inv * c, delta - inv * b, (c0 + n) - inv * a
@@ -142,14 +148,18 @@ def _count_below(g, delta: float, eps: float, n_max: int, shifts) -> np.ndarray:
             step = np.where(near, np.copysign(rho, trace), 0.0)
             det = det + step * (trace + step)
             a, c = a + step, c + step
-        balance += np.copysign(det > 0, a)
+        block = np.copysign(det > 0, a)
+        if n > smallest:
+            # a lane past its own truncation adds nothing
+            block = np.where(n <= n_max, block, 0.0)
+        balance += block
     return n_max + 1 - balance.astype(np.intp)
 
 
-def _converged(g, delta: float, eps: float, n_max: int, ev, k) -> np.ndarray:
+def _converged(g, delta: float, eps: float, n_max, ev, k) -> np.ndarray:
     """Whether level k, at ev in the spectrum at n_max, moves by less than
-    CONV_TOL at n_max + CONV_MARGIN; elementwise over ev and k, with g
-    broadcast against them.
+    CONV_TOL at n_max + CONV_MARGIN; elementwise over ev and k, with g and
+    n_max broadcast against them.
 
     H at n_max is a principal submatrix of H at n_max + CONV_MARGIN, so by
     Cauchy interlacing a level only falls as the truncation grows. It moves
@@ -232,7 +242,8 @@ def sweep(delta: float, eps: float, g_grid,
 class _Pair:
     """The two levels nearest a record's lambda, solved at truncation n."""
 
-    group: tuple[float, float, int]  # (delta, eps, n)
+    group: tuple[float, float]  # (delta, eps)
+    n: int
     g: float
     target: float
     indices: tuple[int, int]
@@ -256,7 +267,7 @@ def _nearest_pair(record: CrossingRecord, n_max: int) -> _Pair:
     ev = eigenvalues(params, n)
     order = np.argsort(np.abs(ev - record.lambda_))
     i, j = sorted((int(order[0]), int(order[1])))
-    return _Pair((params.delta, params.eps, n), g_star, record.lambda_,
+    return _Pair((params.delta, params.eps), n, g_star, record.lambda_,
                  (i, j), ev[[i, j]])
 
 
@@ -273,9 +284,10 @@ def confirm_crossings(records, n_max: int = DEFAULT_NMAX
     with a "truncation"; a converged pair off the target is a "miss".
 
     Returns, in record order, a CrossingObservation or the ValueError that
-    names the record's failure. The pairs are counted once per truncation
-    (and Delta, eps) for the whole batch, so a command confirming its
-    crossings in one call makes one count per truncation per command.
+    names the record's failure. The pairs are counted once per (Delta, eps)
+    for the whole batch, each lane at its own truncation, so a command
+    confirming its crossings in one call makes one count per command, with
+    a truncation per lane.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -288,12 +300,13 @@ def confirm_crossings(records, n_max: int = DEFAULT_NMAX
             continue
         groups.setdefault(pair.group, []).append(len(results))
         results.append(pair)
-    for (delta, eps, n), lanes in groups.items():
+    for (delta, eps), lanes in groups.items():
         pairs = [results[lane] for lane in lanes]
-        # one count for the group: per-record calls would pay numpy's
-        # per-call overhead once per record
+        # one count for the group, each lane at its record's truncation:
+        # per-record calls would pay numpy's per-call overhead once per record
         converged = _converged(np.array([[p.g] for p in pairs]), delta, eps,
-                               n, np.array([p.values for p in pairs]),
+                               np.array([[p.n] for p in pairs]),
+                               np.array([p.values for p in pairs]),
                                np.array([p.indices for p in pairs])).all(axis=1)
         for lane, pair, ok in zip(lanes, pairs, converged):
             results[lane] = _observe(pair, ok)
@@ -303,7 +316,7 @@ def confirm_crossings(records, n_max: int = DEFAULT_NMAX
 def _observe(pair: _Pair, converged: bool):
     """The observation of a solved pair, or the ValueError naming why it
     does not confirm its record."""
-    n = pair.group[2]
+    n = pair.n
     target = pair.target
     (i, j), (ev_i, ev_j) = pair.indices, pair.values
     if not converged:
@@ -325,8 +338,8 @@ def confirm_crossing(record: CrossingRecord,
                      n_max: int = DEFAULT_NMAX) -> CrossingObservation:
     """confirm_crossings for one record: its observation, or its ValueError
     raised. Confirming many records, call confirm_crossings once instead,
-    which makes one count per truncation per command rather than one per
-    record."""
+    which makes one count per command, with a truncation per lane, rather
+    than one per record."""
     (result,) = confirm_crossings([record], n_max)
     if isinstance(result, ValueError):
         raise result

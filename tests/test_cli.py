@@ -111,6 +111,27 @@ def test_crossings_confirm_failure_keeps_every_record(capsys, monkeypatch):
     assert all(row["gap"] < 1e-7 for row in (rows[0], rows[2]))
 
 
+def test_crossings_confirm_makes_one_count(capsys, monkeypatch):
+    from aqrm import spectrum
+
+    real = spectrum._count_below
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(spectrum, "_count_below", counted)
+    code, out = run(capsys, "crossings", "--N", "24", "--two-eps", "1",
+                    "--delta2", "7/3", "--confirm")
+    assert code == 0
+    rows = [json.loads(ln) for ln in out.split("\n") if ln]
+    assert len(rows) == 23
+    assert all("gap" in row for row in rows)
+    # every record's lane, whatever its derived truncation, in one count
+    assert len(calls) == 1
+
+
 def test_crossings_csv(capsys):
     code, out = run(capsys, "crossings", "--N", "2", "--two-eps", "1",
                     "--delta2", "1/4", "--format", "csv")

@@ -133,6 +133,41 @@ def test_count_below_on_exact_eigenvalues_of_decoupled_spectra():
         assert np.all(got <= np.searchsorted(ev, shifts + 1e-9, "right"))
 
 
+def test_count_below_lanes_equal_one_lane_calls():
+    # one lane per truncation, each with its own g; its count must be that
+    # of a call with its n_max alone, bit for bit, on eigenvalues, between
+    # them and beyond +-bound, while the lanes below the largest
+    # truncation run up to 329 levels past their own. At g = 0 the levels
+    # are n +- sqrt(eps^2 + Delta^2) = n +- 1, and shifts on them make
+    # exactly singular pivots in that lane alone
+    truncations = [1, 21, 80, 231, 330]
+    g = np.array([[0.0], [0.45], [1.3], [0.8], [2.1]])
+    delta, eps = 0.8, 0.6
+    shifts = []
+    for lane_g, n_max in zip(g[:, 0], truncations):
+        ev = eigenvalues(ModelParams(lane_g, delta, eps), n_max)
+        shifts.append(np.concatenate([
+            [-1.0, 0.0, 1.0, 2.0], ev[:4], 0.5 * (ev[1:4] + ev[:3]),
+            [ev[-1], -1e300, 1e300],
+            [-2.0 * (n_max + 10), 2.0 * (n_max + 10)]]))
+    shifts = np.array(shifts)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        got = spectrum._count_below(g, delta, eps,
+                                    np.array(truncations)[:, None], shifts)
+        assert got.shape == shifts.shape
+        for lane, n_max in enumerate(truncations):
+            # a scalar n_max keeps the shape of the shifts
+            want = spectrum._count_below(g[lane], delta, eps, n_max,
+                                         shifts[lane])
+            assert want.shape == shifts[lane].shape
+            assert got[lane].dtype == want.dtype
+            assert got[lane].tobytes() == want.tobytes(), n_max
+            # beyond -bound nothing is counted, beyond +bound everything
+            assert want[-4] == want[-2] == 0
+            assert want[-3] == want[-1] == 2 * (n_max + 1)
+
+
 def test_convergence_flags_match_dense_rule():
     # the rule as two dense solves: a level is converged when it moves by
     # less than CONV_TOL at n_max + CONV_MARGIN
@@ -171,9 +206,10 @@ def test_confirm_asymmetric_crossings():
         assert obs.lambda_star == pytest.approx(rec.lambda_, abs=1e-7)
 
 
-def logged_truncations(monkeypatch) -> list[tuple[str, int]]:
+def logged_truncations(monkeypatch) -> list[tuple]:
     """Make spectrum log every dense solve as ("solve", n_max) and every
-    eigenvalue count as ("count", n_max)."""
+    eigenvalue count as ("count", n_max): an int for a scalar n_max or a
+    single lane, else the tuple of lane truncations."""
     log = []
     count_below = spectrum._count_below
     eigvalsh = np.linalg.eigvalsh
@@ -183,7 +219,8 @@ def logged_truncations(monkeypatch) -> list[tuple[str, int]]:
         return eigvalsh(h)
 
     def logged_count(g, delta, eps, n_max, shifts):
-        log.append(("count", n_max))
+        lanes = tuple(np.ravel(n_max).tolist())
+        log.append(("count", lanes[0] if len(lanes) == 1 else lanes))
         return count_below(g, delta, eps, n_max, shifts)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", logged_solve)
@@ -259,7 +296,7 @@ def test_confirm_batch_matches_one_record_calls(monkeypatch):
     n30, n40 = find_crossings(30, 1, d, PREC), find_crossings(40, 1, d, PREC)
     small = find_crossings(3, 1, d, PREC) + find_crossings(12, 1, d, PREC)
     # derived truncations from 30 to 211, some shared within and across N;
-    # at floor 60 every N <= 12 record but the last four joins one group
+    # at floor 60 every N <= 12 record but the last four solves at n = 60
     records = (n40[:4] + small[:1] + [_perturbed(small[1])] + small[2:]
                + n30[:6] + n30[-1:] + n40[10::10])
     forced = small[7]
@@ -277,10 +314,10 @@ def test_confirm_batch_matches_one_record_calls(monkeypatch):
         batch = confirm_crossings(records, n_max=n_max)
         solves = [n for kind, n in log if kind == "solve"]
         counts = [n for kind, n in log if kind == "count"]
-        # one solve per record, and one count per distinct truncation
+        # one solve per record, and one count for the batch whose lanes
+        # are the records' truncations in record order
         assert len(solves) == len(records)
-        assert counts == [n + spectrum.CONV_MARGIN
-                          for n in dict.fromkeys(solves)]
+        assert counts == [tuple(n + spectrum.CONV_MARGIN for n in solves)]
         assert len(counts) < len(records)
         failures = []
         for rec, got in zip(records, batch):
