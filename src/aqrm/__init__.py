@@ -29,7 +29,7 @@ from .exactpoly import (
     to_fraction,
 )
 from .gfunction import ExceptionalRoot, GValue, KSeries, find_exceptional, g_minus, g_plus, k_series
-from .heun import HeunOp, bargmann_system_residual, exponents, heun_direct, heun_from_K
+from .heun import HeunOp, bargmann_system_residual, heun_direct, reduction_check
 from .sl2rep import (
     KParams,
     RepOperator,

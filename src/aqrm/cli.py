@@ -220,9 +220,8 @@ def _cmd_rep_check(args) -> int:
 
 def _cmd_heun_check(args) -> int:
     direct = heun.heun_direct(args.which, args.lam, args.g2, args.d, args.eps)
-    from_k = heun.heun_from_K(args.which, args.lam, args.g2, args.d, args.eps)
-    expo = heun.exponents(args.which, args.lam, args.g2, args.eps)
-    match = direct == from_k
+    match = heun.reduction_check(direct)["ok"]
+    at0, at1 = direct.indicial_roots(0), direct.indicial_roots(1)
     _emit(args, json.dumps({
         "op": {"which": direct.which, "lambda": str(direct.lambda_),
                "g2": str(direct.g2), "d": str(direct.d),
@@ -230,9 +229,9 @@ def _cmd_heun_check(args) -> int:
                "B": str(direct.B), "C": str(direct.C), "D": str(direct.D)},
         "reduction_matches": match,
         "exponents": {
-            "at0": [str(e) for e in expo["at0"]],
-            "at1": [str(e) for e in expo["at1"]],
-            "both_integral": expo["both_integral"]},
+            "at0": [str(e) for e in at0],
+            "at1": [str(e) for e in at1],
+            "both_integral": all(e.denominator == 1 for e in at0 + at1)},
         "ok": match}))
     return EXIT_OK if match else EXIT_VERIFICATION
 

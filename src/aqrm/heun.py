@@ -7,10 +7,14 @@ and an irregular one at infinity:
     y'' + { -4g^2 + A/x + B/(x-1) } y' + (C x + D)/(x(x-1)) y = 0.
 
 The four rational constants (A, B, C, D) determine everything; this module
-builds them directly from (lambda, g^2, d, eps), rebuilds them through the sl2
-element K (A, B and C from K's parameters; D is K's constant C itself),
-tabulates the local exponents, and forms exact residuals of the underlying
-first-order system for polynomial trial solutions.
+builds them directly from (lambda, g^2, d, eps), checks the operator against
+the sl2 element K, and forms exact residuals of the underlying first-order
+system for polynomial trial solutions.
+
+Multiplied by x(x-1), the operator acts on monomials x^m as a shift sum in
+the degree m, and pi_a(K) - Lambda_a acts on the weight e_n the same way,
+with n = m + (a - o)/2 (o = 0 for the label j = 1, o = 1 for j = 2).
+reduction_check compares the two shift sums as exact polynomials in m.
 """
 from __future__ import annotations
 
@@ -18,7 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactpoly import UniPoly, to_fraction
-from .sl2rep import mu_value, reduction_kparams
+from .sl2rep import (RepOperator, RepParams, assemble_K, compare, identity_op,
+                     mu_value, reduction_kparams)
 
 
 @dataclass(frozen=True)
@@ -71,45 +76,30 @@ def heun_direct(which: int, lambda_, g2, d, eps) -> HeunOp:
                   A=a_coef, B=b_coef, C=c_coef, D=d_coef)
 
 
-def heun_from_K(which: int, lambda_, g2, d, eps) -> HeunOp:
-    """Rebuild the operator through the sl2 element K.
+def reduction_check(op: HeunOp) -> dict:
+    """Compare op with pi_a(K) - Lambda_a as operators on monomials x^m.
 
-    Conjugating pi_a(K) - Lambda_a by the weight factor and dividing by
-    x(x-1) yields a second-order operator with
-        A = a/2 + alpha,  B = a/2 + 2 gamma - alpha,
-        C = -a beta,      D = C_K,
-    which must agree coefficientwise with heun_direct. The scalar Lambda_a
-    split off by K cancels in D, so D is K's constant C as reduction_kparams
-    sets it: only A, B and C are derived independently of heun_direct.
+    x(x-1) times op, that is x(x-1) y'' + (-4g^2 x(x-1) + A(x-1) + Bx) y'
+    + (Cx + D) y, sends x^m to
+        (C - 4g^2 m) x^(m+1) + (m^2 + (A + B + 4g^2 - 1) m + D) x^m
+        + ((1 - A) m - m^2) x^(m-1).
+    pi_a(K) - Lambda_a, at op's reduction_kparams and label j = 1, acts on
+    e_n by the same shift sum once n = m + a/2 (for j = 2, n = m + (a-1)/2).
+    The report is sl2rep.compare of the two, exact for every m. A, B, C, the
+    drift and the m^2, m terms come from the generators. D does not: Lambda_a
+    cancels, so the shift-0 constant is K's own C, the expression
+    reduction_kparams shares with heun_direct's D.
     """
-    lam, g2 = to_fraction(lambda_), to_fraction(g2)
-    d, eps = to_fraction(d), to_fraction(eps)
-    kp, a = reduction_kparams(which, lam, g2, d, eps)
-    return HeunOp(which=which, lambda_=lam, g2=g2, d=d, eps=eps,
-                  A=a / 2 + kp.alpha,
-                  B=a / 2 + 2 * kp.gamma - kp.alpha,
-                  C=-a * kp.beta,
-                  D=kp.C)
-
-
-def exponents(which: int, lambda_, g2, eps) -> dict:
-    """Local exponents at the two regular singular points.
-
-    Both exponent pairs are integral exactly when lambda + g^2 and eps are
-    both integers or both half-integers; the returned classification records
-    that.
-    """
-    lam, g2, eps = to_fraction(lambda_), to_fraction(g2), to_fraction(eps)
-    s = lam + g2
-    if which == 1:
-        at0, at1 = (Fraction(0), s - eps), (Fraction(0), s + 1 + eps)
-    elif which == 2:
-        at0, at1 = (Fraction(0), s + 1 + eps), (Fraction(0), s - eps)
-    else:
-        raise ValueError("which must be 1 or 2")
-    both_int = s.denominator == 1 and eps.denominator == 1
-    both_half = s.denominator == 2 and eps.denominator == 2
-    return {"at0": at0, "at1": at1, "both_integral": both_int or both_half}
+    kp, a = reduction_kparams(op.which, op.lambda_, op.g2, op.d, op.eps)
+    params = RepParams(1, a, 0, 0)
+    k_op = assemble_K(params, kp) - identity_op(params, kp.lambda_a(a))
+    in_degree = RepOperator(params, {s: p.shift(a / 2)
+                                     for s, p in k_op.terms.items()})
+    heun_op = RepOperator(params, {
+        1: UniPoly([op.C, op.drift]),
+        0: UniPoly([op.D, op.A + op.B - op.drift - 1, 1]),
+        -1: UniPoly([0, 1 - op.A, -1])})
+    return compare(in_degree, heun_op)
 
 
 def bargmann_system_residual(lambda_, g, delta, eps, f_plus: UniPoly,

@@ -251,11 +251,9 @@ def test_criterion_08_heun_reduction_hundred_random_tuples():
         d = Fraction(rng.randint(1, 12), rng.randint(1, 6))
         eps = Fraction(rng.randint(-8, 8), rng.randint(1, 4))
         for which in (1, 2):
-            direct = heun.heun_direct(which, lam, g2, d, eps)
-            assert heun.heun_from_K(which, lam, g2, d, eps) == direct
-            out = heun.exponents(which, lam, g2, eps)
-            assert set(direct.indicial_roots(0)) == set(out["at0"])
-            assert set(direct.indicial_roots(1)) == set(out["at1"])
+            report = heun.reduction_check(
+                heun.heun_direct(which, lam, g2, d, eps))
+            assert report["ok"] and report["max_discrepancy"] == 0, report
     print("criterion 8: PASS (operator correspondence exact, 100 tuples)")
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -5,16 +6,42 @@ from fractions import Fraction
 
 import pytest
 
+from aqrm import heun
 from aqrm.cli import main
 from aqrm.exactpoly import UniPoly
 from aqrm.heun import (
     HeunOp,
     bargmann_system_residual,
-    exponents,
     heun_direct,
-    heun_from_K,
+    reduction_check,
 )
-from aqrm.sl2rep import mu_value
+from aqrm.sl2rep import (RepParams, assemble_K, identity_op, mu_value,
+                         reduction_kparams)
+
+
+def _exponents(capsys, which, lam, g2, eps):
+    """Exponent pairs at 0 and 1, and heun-check's both_integral flag.
+
+    d does not enter A or B, so any d gives the same exponents.
+    """
+    op = heun_direct(which, lam, g2, Fraction(1), eps)
+    at0, at1 = op.indicial_roots(0), op.indicial_roots(1)
+    assert main(["heun-check", f"--which={which}", f"--lambda={lam}",
+                 f"--g2={g2}", "--d=1", f"--eps={eps}"]) == 0
+    blob = json.loads(capsys.readouterr().out)["exponents"]
+    assert blob["at0"] == [str(e) for e in at0]
+    assert blob["at1"] == [str(e) for e in at1]
+    return at0, at1, blob["both_integral"]
+
+
+def _seed18_tuples():
+    rng = random.Random(18)
+    for _ in range(20):
+        lam = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        g2 = Fraction(rng.randint(1, 9), rng.randint(1, 5))
+        d = Fraction(rng.randint(1, 9), rng.randint(1, 5))
+        eps = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        yield lam, g2, d, eps
 
 
 def test_mu_examples():
@@ -26,24 +53,41 @@ def test_mu_examples():
     assert mu_value(4 * g2 - g2, g2, Fraction(3)) == Fraction(-3)
 
 
-def test_exponents_examples():
-    out = exponents(1, Fraction(2) - Fraction(1, 4), Fraction(1, 4),
-                    Fraction(0))
-    assert out["at0"] == (Fraction(0), Fraction(2))
-    assert out["at1"] == (Fraction(0), Fraction(3))
-    assert out["both_integral"]
-    swapped = exponents(2, Fraction(2) - Fraction(1, 4), Fraction(1, 4),
-                        Fraction(0))
-    assert swapped["at0"] == (Fraction(0), Fraction(3))
-    assert swapped["at1"] == (Fraction(0), Fraction(2))
-    out = exponents(1, Fraction(3, 2) - Fraction(1, 8), Fraction(1, 8),
-                    Fraction(1, 2))
-    assert out["at0"] == (Fraction(0), Fraction(1))
-    assert out["at1"] == (Fraction(0), Fraction(3))
-    assert out["both_integral"]
+def test_exponents_examples(capsys):
+    at0, at1, both = _exponents(capsys, 1, Fraction(2) - Fraction(1, 4),
+                                Fraction(1, 4), Fraction(0))
+    assert at0 == (Fraction(0), Fraction(2))
+    assert at1 == (Fraction(0), Fraction(3))
+    assert both
+    at0, at1, _ = _exponents(capsys, 2, Fraction(2) - Fraction(1, 4),
+                             Fraction(1, 4), Fraction(0))
+    assert at0 == (Fraction(0), Fraction(3))
+    assert at1 == (Fraction(0), Fraction(2))
+    at0, at1, both = _exponents(capsys, 1, Fraction(3, 2) - Fraction(1, 8),
+                                Fraction(1, 8), Fraction(1, 2))
+    assert at0 == (Fraction(0), Fraction(1))
+    assert at1 == (Fraction(0), Fraction(3))
+    assert both
     # mixed integrality: s integer but eps half-integer
-    out = exponents(1, Fraction(2), Fraction(0), Fraction(1, 2))
-    assert not out["both_integral"]
+    _, _, both = _exponents(capsys, 1, Fraction(2), Fraction(0),
+                            Fraction(1, 2))
+    assert not both
+
+
+def test_both_integral_iff_s_and_eps_integers_or_half_integers(capsys):
+    rng = random.Random(19)
+    seen = set()
+    for _ in range(200):
+        lam = Fraction(rng.randint(-12, 12), rng.randint(1, 4))
+        g2 = Fraction(rng.randint(0, 12), rng.randint(1, 4))
+        eps = Fraction(rng.randint(-8, 8), rng.randint(1, 4))
+        s = lam + g2
+        expected = (s.denominator == 1 and eps.denominator == 1) or \
+            (s.denominator == 2 and eps.denominator == 2)
+        seen.add(expected)
+        for which in (1, 2):
+            assert _exponents(capsys, which, lam, g2, eps)[2] == expected
+    assert seen == {True, False}
 
 
 def test_indicial_roots_solve_the_indicial_equation():
@@ -56,37 +100,70 @@ def test_indicial_roots_solve_the_indicial_equation():
         assert roots[0] == 0 and roots[1] == 1 - coeff
 
 
-def test_exponents_match_indicial_roots():
-    rng = random.Random(17)
-    for _ in range(10):
-        lam = Fraction(rng.randint(-8, 8), rng.randint(1, 4))
-        g2 = Fraction(rng.randint(1, 8), rng.randint(1, 4))
-        d = Fraction(rng.randint(1, 8), rng.randint(1, 4))
-        eps = Fraction(rng.randint(-4, 4), 2)
-        for which in (1, 2):
-            op = heun_direct(which, lam, g2, d, eps)
-            out = exponents(which, lam, g2, eps)
-            assert set(op.indicial_roots(0)) == set(out["at0"])
-            assert set(op.indicial_roots(1)) == set(out["at1"])
-
-
 def test_from_k_equals_direct_named_case():
     args = (Fraction(2) - Fraction(1, 4), Fraction(1, 4), Fraction(1, 2),
             Fraction(0))
     for which in (1, 2):
-        assert heun_from_K(which, *args) == heun_direct(which, *args)
+        report = reduction_check(heun_direct(which, *args))
+        assert report["ok"] and report["max_discrepancy"] == 0, report
 
 
 def test_from_k_equals_direct_randomized():
-    rng = random.Random(18)
-    for _ in range(20):
-        lam = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-        g2 = Fraction(rng.randint(1, 9), rng.randint(1, 5))
-        d = Fraction(rng.randint(1, 9), rng.randint(1, 5))
-        eps = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    for lam, g2, d, eps in _seed18_tuples():
         for which in (1, 2):
-            assert heun_from_K(which, lam, g2, d, eps) == \
-                heun_direct(which, lam, g2, d, eps)
+            report = reduction_check(heun_direct(which, lam, g2, d, eps))
+            assert report["ok"] and report["max_discrepancy"] == 0, report
+
+
+def _heun_on_monomial(op: HeunOp, m: int) -> UniPoly:
+    """x(x-1) y'' + (-4g^2 x(x-1) + A(x-1) + Bx) y' + (Cx + D) y at y = x^m."""
+    y = UniPoly([0] * m + [1])
+    x2_x = UniPoly([0, -1, 1])
+    first = op.drift * x2_x + UniPoly([-op.A, op.A + op.B])
+    return (x2_x * y.derivative().derivative() + first * y.derivative()
+            + UniPoly([op.D, op.C]) * y)
+
+
+def test_k_on_both_labels_is_the_heun_operator_on_monomials():
+    # pi_a(K) - Lambda_a on e_n with n = m + (a - o)/2 sends e_n to the
+    # coefficients of the Heun operator applied to x^m, for j = 1 and j = 2
+    for lam, g2, d, eps in _seed18_tuples():
+        for which in (1, 2):
+            op = heun_direct(which, lam, g2, d, eps)
+            kp, a = reduction_kparams(which, lam, g2, d, eps)
+            for j in (1, 2):
+                params = RepParams(j, a, 0, 0)
+                k_op = assemble_K(params, kp) - identity_op(params,
+                                                            kp.lambda_a(a))
+                assert set(k_op.terms) <= {-1, 0, 1}
+                for m in range(6):
+                    n = m + (a - (j - 1)) / 2
+                    image = _heun_on_monomial(op, m).coeffs
+                    for s in (-1, 0, 1):
+                        want = image[m + s] if 0 <= m + s < len(image) else 0
+                        got = k_op.terms[s](n) if s in k_op.terms else 0
+                        assert got == want, (which, j, m, s)
+
+
+@pytest.mark.parametrize("which", (1, 2))
+@pytest.mark.parametrize("field", ("A", "B", "C", "D"))
+def test_heun_check_fails_on_a_moved_constant(monkeypatch, capsys, which,
+                                              field):
+    direct = heun.heun_direct
+
+    def moved(*args):
+        op = direct(*args)
+        return dataclasses.replace(
+            op, **{field: getattr(op, field) + Fraction(1, 10**6)})
+
+    report = reduction_check(moved(which, Fraction(3, 2), Fraction(1, 3),
+                                   Fraction(2), Fraction(1, 2)))
+    assert not report["ok"] and report["mismatches"] > 0
+    monkeypatch.setattr(heun, "heun_direct", moved)
+    assert main(["heun-check", "--which", str(which), "--lambda", "3/2",
+                 "--g2", "1/3", "--d", "2", "--eps", "1/2"]) == 2
+    out = capsys.readouterr().out
+    assert '"reduction_matches": false' in out and '"ok": false' in out
 
 
 def test_accessory_parameter_moves_only_d():
