@@ -209,7 +209,7 @@ def _cmd_rep_check(args) -> int:
             checks.append({"name": "invariant_subspace", "j": j, "m": m,
                            "ok": rep["ok"]})
     for a in (Fraction(1, 2), Fraction(1), Fraction(3), Fraction(-3, 2)):
-        rep = sl2rep.intertwiner_check(a, (-6, 6))
+        rep = sl2rep.intertwiner_check(a)
         checks.append({"name": "intertwiner", "a": str(a), "ok": rep["ok"]})
     checks += [{"name": "k_block_tridiagonal", **c}
                for c in sl2rep.k_block_checks(rng, args.trials)]

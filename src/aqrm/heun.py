@@ -13,7 +13,7 @@ system for polynomial trial solutions.
 
 Multiplied by x(x-1), the operator acts on monomials x^m as a shift sum in
 the degree m, and pi_a(K) - Lambda_a acts on the weight e_n the same way,
-with n = m + (a - o)/2 (o = 0 for the label j = 1, o = 1 for j = 2).
+with n = m + (a - o)/2, the map sl2rep.degree_offset states.
 reduction_check compares the two shift sums as exact polynomials in m.
 """
 from __future__ import annotations
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactpoly import UniPoly, to_fraction
-from .sl2rep import (RepOperator, RepParams, assemble_K, compare, identity_op,
-                     mu_value, reduction_kparams)
+from .sl2rep import (RepOperator, RepParams, assemble_K, compare, degree_offset,
+                     identity_op, mu_value, reduction_kparams)
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ def reduction_check(op: HeunOp) -> dict:
         (C - 4g^2 m) x^(m+1) + (m^2 + (A + B + 4g^2 - 1) m + D) x^m
         + ((1 - A) m - m^2) x^(m-1).
     pi_a(K) - Lambda_a, at op's reduction_kparams and label j = 1, acts on
-    e_n by the same shift sum once n = m + a/2 (for j = 2, n = m + (a-1)/2).
+    e_n by the same shift sum once n = m + degree_offset, here a/2.
     The report is sl2rep.compare of the two, exact for every m. A, B, C, the
     drift and the m^2, m terms come from the generators. D does not: Lambda_a
     cancels, so the shift-0 constant is K's own C, the expression
@@ -93,7 +93,7 @@ def reduction_check(op: HeunOp) -> dict:
     kp, a = reduction_kparams(op.which, op.lambda_, op.g2, op.d, op.eps)
     params = RepParams(1, a, 0, 0)
     k_op = assemble_K(params, kp) - identity_op(params, kp.lambda_a(a))
-    in_degree = RepOperator(params, {s: p.shift(a / 2)
+    in_degree = RepOperator(params, {s: p.shift(degree_offset(params))
                                      for s, p in k_op.terms.items()})
     heun_op = RepOperator(params, {
         1: UniPoly([op.C, op.drift]),

@@ -5,11 +5,12 @@ basis e_n, n running over all integers. Every operator here is a finite sum
 sum_s c_s(n) T^s with T^s e_n = e_{n+s}, so it sends e_n to
 sum_s c_s(n) e_{n+s}, and each c_s is an exact polynomial in the weight n.
 The generators are single shifts with coefficients affine in n, and sums and
-products stay in this form. The commutation relations, the Casimir scalar and
-the mixed commutator are therefore checked as equalities of coefficient
-polynomials: they hold for every weight, not only on a window. The window in
-RepParams only chooses which matrix entries the matrix and entry views
-show.
+products stay in this form. Every report here is therefore an identity in n
+that holds for every weight: commutation relations, Casimir scalar, mixed
+commutator, the intertwiner between a and 2 - a, finite-block closure. The
+window in RepParams only shapes the matrix view. The weight n stands for the
+monomial degree m = n - (a - o)/2, o = j - 1 (degree_offset), in the K-block
+rows here and in heun.reduction_check.
 
 The module also hosts the second-order element K(alpha, beta, gamma; C) =
 [H/2 - E + alpha](F + beta) + gamma[H - 1/2] + C whose eigenvalue problem,
@@ -22,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from itertools import chain
 
 from .constraint import PLAIN, TILDE, ConstraintFamily, tridiag_matrix
 from .exactpoly import UniPoly, to_fraction
@@ -117,6 +118,11 @@ def rep_generator(params: RepParams, gen: str) -> RepOperator:
         raise ValueError(f"unknown generator {gen!r}")
     shift, coeffs = actions[gen]
     return RepOperator(params, {shift: UniPoly(coeffs)})
+
+
+def degree_offset(params: RepParams) -> Fraction:
+    """The offset (a - o)/2 of the weight n = m + (a - o)/2 at degree m."""
+    return (params.a - (params.j - 1)) / 2
 
 
 def _report(deltas) -> dict:
@@ -250,29 +256,28 @@ def commutator_check(params: RepParams, lambda_, g2, d, eps) -> dict:
 
 
 def _closure_ok(params: RepParams, block: range) -> bool:
-    """True when the span of the block weights is stable under H, E and F."""
-    return all(n + s in block or not p(n)
-               for gen in GENERATORS
-               for s, p in rep_generator(params, gen).terms.items()
-               for n in block)
+    """True when the block's span is stable under H, E and F. H keeps
+    weights, so only E at the top weight or F at the bottom one can leave."""
+    top, bottom = block[-1], block[0]
+    return not (rep_generator(params, "E").entry(top + 1, top)
+                or rep_generator(params, "F").entry(bottom - 1, bottom))
 
 
 def invariant_subspace_check(j: int, m: int) -> dict:
     """Finite-block closure and boundary annihilation for the reducible labels."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    lo, hi = -m - 3, m + 3
     report: dict = {"j": j, "m": m}
     if j == 1:
-        inner = RepParams(1, Fraction(2 - 2 * m), lo, hi)
+        inner = RepParams(1, Fraction(2 - 2 * m), 0, 0)
         report["finite_block_closed"] = _closure_ok(inner, range(-m + 1, m))
-        odd = RepParams(1, Fraction(-2 * m), lo, hi)
+        odd = RepParams(1, Fraction(-2 * m), 0, 0)
         report["odd_block_closed"] = _closure_ok(odd, range(-m, m + 1))
-        bnd, edge = RepParams(1, Fraction(2 * m), lo, hi), -m
+        bnd, edge = RepParams(1, Fraction(2 * m), 0, 0), -m
     else:
-        inner = RepParams(2, Fraction(1 - 2 * m), lo, hi)
+        inner = RepParams(2, Fraction(1 - 2 * m), 0, 0)
         report["finite_block_closed"] = _closure_ok(inner, range(-m, m))
-        bnd, edge = RepParams(2, Fraction(2 * m + 1), lo, hi), -m - 1
+        bnd, edge = RepParams(2, Fraction(2 * m + 1), 0, 0), -m - 1
     # F e_m and E e_edge each have a single entry, one weight down or up
     report["lowest_weight_killed"] = not rep_generator(bnd, "F").entry(m - 1, m)
     report["highest_weight_killed"] = not rep_generator(bnd, "E").entry(
@@ -281,31 +286,39 @@ def invariant_subspace_check(j: int, m: int) -> dict:
     return report
 
 
-def intertwiner_check(a, window: tuple[int, int]) -> dict:
+def intertwiner_check(a) -> dict:
     """Diagonal equivalence between the spherical actions at a and 2 - a.
 
-    A = diag(c_n) with c_n = prod_{k=1..|n|} (k - a/2)/(k - 1 + a/2) satisfies
-    A pi_a(X) = pi_{2-a}(X) A for every generator X. A is not polynomial in
-    n, so for the shift s of X the check compares
-    c_{n+s} x_a(n) = x_{2-a}(n) c_n entrywise, for n and n + s strictly
-    inside the window. Requires a not an even integer so no factor
-    degenerates.
+    A = diag(c_n), c_n = prod_{k=1..|n|} top(k)/bottom(k) with top(k) = k - a/2
+    and bottom(k) = k - 1 + a/2, satisfies c_{n+s} x_a(n) = x_{2-a}(n) c_n
+    for each generator x(n) T^s. Read from n >= 0, c_{n+s}/c_n = num/den is
+    top(n+1)/bottom(n+1) for E and bottom(n)/top(n) for F. Each report counts
+    the coefficient mismatches of two identities in n: num/den against the
+    ratio read from n < 0, cross-multiplied, and num x_a = den x_{2-a}.
+    Requires a not an even integer so no factor degenerates.
     """
     a = to_fraction(a)
     if a.denominator == 1 and a.numerator % 2 == 0:
         raise ValueError("a must not be an even integer")
-    n_min, n_max = window
-    pa = RepParams(1, a, n_min, n_max)
-    pb = RepParams(1, 2 - a, n_min, n_max)
-    inner = range(n_min + 1, n_max)
-    c = {n: prod((k - a / 2) / (k - 1 + a / 2) for k in range(1, abs(n) + 1))
-         for n in inner}
+    pa, pb = RepParams(1, a, 0, 0), RepParams(1, 2 - a, 0, 0)
+    n, one, half_a = UniPoly([0, 1]), UniPoly([1]), UniPoly([a / 2])
+
+    def top(k):
+        return k - half_a
+
+    def bottom(k):
+        return k + half_a - one
+
+    # c_{n+s}/c_n as (num, den), read from n >= 0 and from n < 0
+    ratios = {"H": ((one, one), (one, one)),
+              "E": ((top(n + one), bottom(n + one)), (bottom(-n), top(-n))),
+              "F": ((bottom(n), top(n)), (top(one - n), bottom(one - n)))}
     checks = {}
-    for gen in GENERATORS:
-        x_a, x_b = rep_generator(pa, gen), rep_generator(pb, gen)
-        checks[gen] = _report(
-            c[n + s] * x_a.entry(n + s, n) - x_b.entry(n + s, n) * c[n]
-            for s in x_a.terms for n in inner if n + s in inner)
+    for gen, ((num, den), (num_neg, den_neg)) in ratios.items():
+        [(s, x_a)] = rep_generator(pa, gen).terms.items()
+        x_b = rep_generator(pb, gen).terms[s]
+        checks[gen] = _report(chain((num * den_neg - num_neg * den).coeffs,
+                                    (num * x_a - den * x_b).coeffs))
     return {"a": a, "checks": checks,
             "ok": all(r["ok"] for r in checks.values())}
 
@@ -317,33 +330,18 @@ def eigenproblem_window(N: int, two_eps: int, variant: str, g2, d) -> dict:
 
     Returns the window parameters (a window spanning exactly the row
     weights), the K-parameters of the matching reduction, the scalar
-    Lambda_a, and the weight indices in matrix row order (row r of the
-    constraint tridiagonal corresponds to the r-th listed weight vector).
+    Lambda_a, and the weight indices in matrix row order: row r is the
+    weight at degree m = N - r, on the label a = -N (plain) or 1 - N (tilde)
+    with j = 1 + (a mod 2), so that degree_offset is an integer.
     """
+    eps = ConstraintFamily(N, two_eps, variant).eps  # rejects N < 1, bad variant
     g2, d = to_fraction(g2), to_fraction(d)
-    eps = Fraction(two_eps, 2)
-    if variant == "plain":
-        lam = N - g2 + eps
-        which = 1
-        if N % 2 == 0:
-            m = N // 2
-            j, rows = 1, [m - r for r in range(N + 1)]
-        else:
-            m = (N + 1) // 2
-            j, rows = 2, [m - 1 - r for r in range(N + 1)]
-    elif variant == "tilde":
-        lam = N - g2 - eps
-        which = 2
-        if N % 2 == 0:
-            m = N // 2
-            j, rows = 2, [m - r for r in range(N + 1)]
-        else:
-            m = (N - 1) // 2
-            j, rows = 1, [m + 1 - r for r in range(N + 1)]
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    which, lam = (1, N - g2 + eps) if variant == PLAIN else (2, N - g2 - eps)
     kp, a = reduction_kparams(which, lam, g2, d, eps)
-    params = RepParams(j, a, min(rows), max(rows))
+    j = 1 + a.numerator % 2
+    offset = int(degree_offset(RepParams(j, a, 0, 0)))
+    rows = [m + offset for m in range(N, -1, -1)]
+    params = RepParams(j, a, offset, N + offset)
     return {"params": params, "kparams": kp, "a": a, "lambda": lam,
             "rows": rows, "Lambda_a": kp.lambda_a(a)}
 

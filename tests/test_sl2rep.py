@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
@@ -14,10 +15,14 @@ from aqrm.constraint import (
     kernel_vector,
     tridiag_matrix,
 )
-from aqrm.exactpoly import refine_isolated
+from aqrm import sl2rep
+from aqrm.exactpoly import UniPoly, refine_isolated
 from aqrm.sl2rep import (
+    GENERATORS,
     KParams,
+    RepOperator,
     RepParams,
+    _closure_ok,
     assemble_K,
     casimir,
     casimir_scalar_check,
@@ -176,15 +181,81 @@ def test_splitting_boundary_coefficients():
 
 def test_intertwiner_examples():
     for a in (Fraction(1), Fraction(1, 2), Fraction(3), Fraction(-3, 2)):
-        report = intertwiner_check(a, (-4, 4))
+        report = intertwiner_check(a)
         assert report["ok"], report
     with pytest.raises(ValueError):
-        intertwiner_check(Fraction(2), (-4, 4))
+        intertwiner_check(Fraction(2))
+
+
+def test_intertwiner_entrywise_at_far_weights():
+    # the coefficient identity implies c_{n+s} x_a(n) = x_{2-a}(n) c_n at
+    # every weight, with c_n taken here from its product
+    for a in (Fraction(1, 2), Fraction(3), Fraction(-3, 2), Fraction(7, 3)):
+        assert intertwiner_check(a)["ok"]
+
+        def c(n):
+            return prod((Fraction(k) - a / 2) / (k - 1 + a / 2)
+                        for k in range(1, abs(n) + 1))
+
+        for gen in GENERATORS:
+            x_a = rep_generator(RepParams(1, a, 0, 0), gen)
+            x_b = rep_generator(RepParams(1, 2 - a, 0, 0), gen)
+            [s] = x_a.terms
+            for n in (-200, -1, 0, 1, 199):
+                assert (c(n + s) * x_a.entry(n + s, n)
+                        == x_b.entry(n + s, n) * c(n)), (a, gen, n)
+
+
+@pytest.mark.parametrize("gen", ["E", "F"])
+def test_intertwiner_catches_a_perturbed_partner(monkeypatch, gen):
+    a = Fraction(1, 2)
+    real = sl2rep.rep_generator
+
+    def perturbed(params, name):
+        op = real(params, name)
+        if name == gen and params.a == 2 - a:
+            [(s, p)] = op.terms.items()
+            op = RepOperator(params, {s: p + UniPoly([Fraction(1, 7)])})
+        return op
+
+    monkeypatch.setattr(sl2rep, "rep_generator", perturbed)
+    report = intertwiner_check(a)
+    assert not report["ok"]
+    assert report["checks"][gen]["mismatches"] > 0
+
+
+def test_closure_fails_on_a_generic_label():
+    params = RepParams(1, Fraction(1, 3), 0, 0)
+    assert not _closure_ok(params, range(-2, 3))
+    assert _closure_ok(RepParams(1, Fraction(-4), 0, 0), range(-2, 3))
 
 
 def test_eigenproblem_window_guard():
     with pytest.raises(ValueError):
         eigenproblem_window(2, 0, "neither", Fraction(1, 4), Fraction(1, 2))
+    for N in (0, -1):
+        with pytest.raises(ValueError, match="N must be a positive integer"):
+            eigenproblem_window(N, 0, PLAIN, Fraction(1, 4), Fraction(1, 2))
+        with pytest.raises(ValueError, match="N must be a positive integer"):
+            k_block_minus_lambda(N, 1, TILDE, Fraction(1, 4), Fraction(1, 2))
+
+
+def test_block_rows_are_cut_where_k_vanishes():
+    # the block rows run from top to bot in weight; K has no entry leaving
+    # them downward at bot, nor upward at top (plain) or into top from
+    # top + 1 (tilde)
+    g2, d = Fraction(3, 5), Fraction(7, 4)
+    for N in range(1, 13):
+        for two_eps in (-2, 0, 1, 3):
+            for variant in (PLAIN, TILDE):
+                data = eigenproblem_window(N, two_eps, variant, g2, d)
+                K = assemble_K(data["params"], data["kparams"])
+                top, bot = data["rows"][0], data["rows"][-1]
+                assert K.entry(bot - 1, bot) == 0, (N, two_eps, variant)
+                if variant == PLAIN:
+                    assert K.entry(top + 1, top) == 0, (N, two_eps)
+                else:
+                    assert K.entry(top, top + 1) == 0, (N, two_eps)
 
 
 def test_block_matches_tridiagonal_sampled():
