@@ -119,7 +119,7 @@ def _cmd_crossings(args) -> int:
     records = constraint.find_crossings(args.N, args.two_eps, args.delta2,
                                         args.precision)
     if args.confirm:
-        # one batch: one count per command, with a truncation per lane
+        # one solve per record, and a float count per level of its pair
         confirmed = spectrum.confirm_crossings(records, n_max=n_max)
     payload, code = [], EXIT_OK
     for k, rec in enumerate(records):

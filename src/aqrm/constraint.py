@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 from .exactpoly import (BivarPoly, UniPoly, isolate_positive_roots,
@@ -152,7 +153,10 @@ def tridiag_matrix(fam: ConstraintFamily, k: int) -> TridiagSpec:
 
 @dataclass(frozen=True)
 class CrossingRecord:
-    """An isolated positive root of a constraint polynomial at fixed d."""
+    """An isolated positive root of a constraint polynomial at fixed d.
+
+    x_root, g and lambda_ are computed on first access and kept: a
+    confirmed record reads g about five times."""
 
     N: int
     two_eps: int
@@ -160,16 +164,16 @@ class CrossingRecord:
     root_interval: tuple[Fraction, Fraction]
     rep_pair: tuple[str, str] | None
 
-    @property
+    @cached_property
     def x_root(self) -> Fraction:
         lo, hi = self.root_interval
         return (lo + hi) / 2
 
-    @property
+    @cached_property
     def g(self) -> float:
         return math.sqrt(float(self.x_root)) / 2
 
-    @property
+    @cached_property
     def lambda_(self) -> float:
         return self.N - self.g**2 + self.two_eps / 2
 

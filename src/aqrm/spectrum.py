@@ -11,12 +11,16 @@ n is the 2x2 block [[n + eps, Delta], [Delta, n - eps]], and levels n - 1
 and n are coupled by g sqrt(n) diag(1, -1). Convergence flags, for sweeps
 and confirmed crossings, count eigenvalues of the larger truncation below
 a shift in O(n_max) steps with that structure instead of diagonalizing it.
-A sweep makes one count for its whole table, and confirm_crossings one
-count per command, with a truncation per lane.
+The count is written twice, once per traffic: in numpy for a sweep, which
+makes one count for its whole table, and in Python floats for
+confirm_crossings, which counts each level of a confirmed pair alone, where
+numpy's per-call cost would outweigh the arithmetic on so few shifts. The
+two give the same count bit for bit.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -104,10 +108,11 @@ def eigenvalues(params: ModelParams, n_max: int) -> np.ndarray:
     return np.linalg.eigvalsh(build_hamiltonian(params, n_max))
 
 
-def _count_below(g, delta: float, eps: float, n_max, shifts) -> np.ndarray:
-    """Number of eigenvalues of the truncated Hamiltonian below each shift,
-    elementwise over shifts, with g and n_max broadcast against them, so
-    that a command makes one count, with a truncation per lane.
+def _count_below(g, delta: float, eps: float, n_max: int,
+                 shifts) -> np.ndarray:
+    """Number of eigenvalues of the truncation at n_max below each shift,
+    elementwise over shifts, with g broadcast against them, so that a sweep
+    makes one count for its whole table.
 
     By Sylvester's law of inertia this is the number of negative eigenvalues
     of the pivot blocks of the block LDL^T factorization of H - s:
@@ -118,10 +123,6 @@ def _count_below(g, delta: float, eps: float, n_max, shifts) -> np.ndarray:
     rho away from singular, rho being machine epsilon times a Gershgorin
     bound: the count is then that of a matrix within rho of H, and no
     determinant the recurrence divides by is zero.
-
-    The recurrence runs to the largest truncation, and a lane's balance
-    stops at its own: every lane keeps its own bound, rho and pivmin, so
-    its count is bit for bit that of a call with its n_max alone.
     """
     g2 = np.square(g)
     bound = n_max + abs(eps) + abs(delta) + 2 * np.sqrt(g2 * n_max) + 1
@@ -136,8 +137,7 @@ def _count_below(g, delta: float, eps: float, n_max, shifts) -> np.ndarray:
     # a is negative or positive: balance counts the blocks with none less
     # the blocks with two
     balance = np.zeros(np.shape(s))
-    smallest = np.min(n_max)
-    for n in range(np.max(n_max) + 1):
+    for n in range(n_max + 1):
         if n:
             inv = g2 * n / det
             a, b, c = (a0 + n) - inv * c, delta - inv * b, (c0 + n) - inv * a
@@ -148,23 +148,50 @@ def _count_below(g, delta: float, eps: float, n_max, shifts) -> np.ndarray:
             step = np.where(near, np.copysign(rho, trace), 0.0)
             det = det + step * (trace + step)
             a, c = a + step, c + step
-        block = np.copysign(det > 0, a)
-        if n > smallest:
-            # a lane past its own truncation adds nothing
-            block = np.where(n <= n_max, block, 0.0)
-        balance += block
+        balance += np.copysign(det > 0, a)
     return n_max + 1 - balance.astype(np.intp)
 
 
-def _converged(g, delta: float, eps: float, n_max, ev, k) -> np.ndarray:
+def _count_below_float(g: float, delta: float, eps: float, n_max: int,
+                       shift: float) -> int:
+    """_count_below for one shift, in Python floats: the same recurrence,
+    bound, rho, pivmin and near-singular step, so the count equals that of
+    a one-shift _count_below call bit for bit. Confirming a pair counts two
+    shifts, where numpy's per-call cost would outweigh the arithmetic."""
+    g2 = g * g
+    bound = n_max + abs(eps) + abs(delta) + 2 * math.sqrt(g2 * n_max) + 1
+    s = min(max(shift, -bound), bound)
+    rho = sys.float_info.epsilon * bound
+    pivmin = 0.25 * rho * rho
+    a0, c0 = eps - s, -eps - s
+    a, b, c = a0, delta, c0
+    balance = 0.0
+    for n in range(n_max + 1):
+        if n:
+            inv = g2 * n / det
+            a, b, c = (a0 + n) - inv * c, delta - inv * b, (c0 + n) - inv * a
+        det = a * c - b * b
+        if abs(det) < pivmin:
+            trace = a + c
+            step = math.copysign(rho, trace)
+            det = det + step * (trace + step)
+            a, c = a + step, c + step
+        if det > 0:
+            balance += math.copysign(1.0, a)
+    return n_max + 1 - int(balance)
+
+
+def _converged(g, delta: float, eps: float, n_max: int, ev,
+               k) -> np.ndarray:
     """Whether level k, at ev in the spectrum at n_max, moves by less than
-    CONV_TOL at n_max + CONV_MARGIN; elementwise over ev and k, with g and
-    n_max broadcast against them.
+    CONV_TOL at n_max + CONV_MARGIN; elementwise over ev and k, with g
+    broadcast against them.
 
     H at n_max is a principal submatrix of H at n_max + CONV_MARGIN, so by
     Cauchy interlacing a level only falls as the truncation grows. It moves
     by less than CONV_TOL exactly when the larger truncation has at most k
-    eigenvalues below ev - CONV_TOL.
+    eigenvalues below ev - CONV_TOL. _confirm applies the same rule to a
+    confirmed pair, one level at a time, with _count_below_float.
     """
     return _count_below(g, delta, eps, n_max + CONV_MARGIN,
                         ev - CONV_TOL) <= k
@@ -238,26 +265,17 @@ def sweep(delta: float, eps: float, g_grid,
                          crossings=tuple(found))
 
 
-@dataclass(frozen=True)
-class _Pair:
-    """The two levels nearest a record's lambda, solved at truncation n."""
-
-    group: tuple[float, float]  # (delta, eps)
-    n: int
-    g: float
-    target: float
-    indices: tuple[int, int]
-    values: np.ndarray  # the two eigenvalues, ascending
-
-
-def _nearest_pair(record: CrossingRecord, n_max: int) -> _Pair:
-    """Refine the record if it is too wide, solve once at its derived
-    truncation n and pick the two levels nearest its lambda."""
+def _confirm(record: CrossingRecord, n_max: int) -> CrossingObservation:
+    """Confirm one record, or raise the ValueError that names its failure:
+    refine the record if it is too wide, solve once at its derived
+    truncation n, pick the two levels nearest its lambda and count each at
+    n + CONV_MARGIN by the rule of _converged."""
     precision = Fraction(DEGENERACY_TOL) * CONFIRM_WIDTH
     lo, hi = record.root_interval
     if hi - lo > precision:
         record = refine_crossing(record, precision)
     g_star = record.g
+    target = record.lambda_
     params = ModelParams(g=g_star, delta=math.sqrt(float(record.d_value)),
                          eps=record.two_eps / 2.0)
     # a level at lambda is a Fock state of lambda + g^2 photons displaced by
@@ -265,10 +283,23 @@ def _nearest_pair(record: CrossingRecord, n_max: int) -> _Pair:
     # and the slope 2.5 and 20 more levels hold the tail beyond that
     n = max(n_max, math.ceil(2.5 * (record.N + params.eps + g_star**2) + 20))
     ev = eigenvalues(params, n)
-    order = np.argsort(np.abs(ev - record.lambda_))
+    order = np.argsort(np.abs(ev - target))
     i, j = sorted((int(order[0]), int(order[1])))
-    return _Pair((params.delta, params.eps), n, g_star, record.lambda_,
-                 (i, j), ev[[i, j]])
+    ev_i, ev_j = float(ev[i]), float(ev[j])
+    for k, level in ((i, ev_i), (j, ev_j)):
+        if _count_below_float(g_star, params.delta, params.eps,
+                              n + CONV_MARGIN, level - CONV_TOL) > k:
+            raise ValueError(
+                f"truncation n_max={n} too small at lambda={target}")
+    err_i = abs(ev_i - target)
+    err_j = abs(ev_j - target)
+    gap = abs(ev_j - ev_i)
+    if max(err_i, err_j, gap) > DEGENERACY_TOL:
+        raise ValueError(
+            f"no degenerate pair at lambda={target}: nearest eigenvalues miss "
+            f"by ({err_i:.3e}, {err_j:.3e}) with gap {gap:.3e} at n_max={n}")
+    return CrossingObservation(g_star=g_star, lambda_star=0.5 * (ev_i + ev_j),
+                               gap=gap, indices=(i, j))
 
 
 def confirm_crossings(records, n_max: int = DEFAULT_NMAX
@@ -282,64 +313,27 @@ def confirm_crossings(records, n_max: int = DEFAULT_NMAX
     n = max(n_max, ceil(2.5 (lambda + 2 g^2) + 20)) must give a pair that
     moves by less than CONV_TOL at n + CONV_MARGIN, else the record fails
     with a "truncation"; a converged pair off the target is a "miss".
+    Each level of the pair is counted alone, in Python floats
+    (_count_below_float).
 
     Returns, in record order, a CrossingObservation or the ValueError that
-    names the record's failure. The pairs are counted once per (Delta, eps)
-    for the whole batch, each lane at its own truncation, so a command
-    confirming its crossings in one call makes one count per command, with
-    a truncation per lane.
+    names the record's failure.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    results, groups = [], {}
+    results = []
     for record in records:
         try:
-            pair = _nearest_pair(record, n_max)
+            results.append(_confirm(record, n_max))
         except ValueError as exc:
             results.append(exc)
-            continue
-        groups.setdefault(pair.group, []).append(len(results))
-        results.append(pair)
-    for (delta, eps), lanes in groups.items():
-        pairs = [results[lane] for lane in lanes]
-        # one count for the group, each lane at its record's truncation:
-        # per-record calls would pay numpy's per-call overhead once per record
-        converged = _converged(np.array([[p.g] for p in pairs]), delta, eps,
-                               np.array([[p.n] for p in pairs]),
-                               np.array([p.values for p in pairs]),
-                               np.array([p.indices for p in pairs])).all(axis=1)
-        for lane, pair, ok in zip(lanes, pairs, converged):
-            results[lane] = _observe(pair, ok)
     return results
-
-
-def _observe(pair: _Pair, converged: bool):
-    """The observation of a solved pair, or the ValueError naming why it
-    does not confirm its record."""
-    n = pair.n
-    target = pair.target
-    (i, j), (ev_i, ev_j) = pair.indices, pair.values
-    if not converged:
-        return ValueError(f"truncation n_max={n} too small at lambda={target}")
-    err_i = abs(ev_i - target)
-    err_j = abs(ev_j - target)
-    gap = abs(ev_j - ev_i)
-    if max(err_i, err_j, gap) > DEGENERACY_TOL:
-        return ValueError(
-            f"no degenerate pair at lambda={target}: nearest eigenvalues miss "
-            f"by ({err_i:.3e}, {err_j:.3e}) with gap {gap:.3e} at n_max={n}")
-    return CrossingObservation(
-        g_star=pair.g,
-        lambda_star=0.5 * float(ev_i + ev_j),
-        gap=float(gap), indices=(i, j))
 
 
 def confirm_crossing(record: CrossingRecord,
                      n_max: int = DEFAULT_NMAX) -> CrossingObservation:
     """confirm_crossings for one record: its observation, or its ValueError
-    raised. Confirming many records, call confirm_crossings once instead,
-    which makes one count per command, with a truncation per lane, rather
-    than one per record."""
+    raised."""
     (result,) = confirm_crossings([record], n_max)
     if isinstance(result, ValueError):
         raise result

@@ -111,25 +111,33 @@ def test_crossings_confirm_failure_keeps_every_record(capsys, monkeypatch):
     assert all(row["gap"] < 1e-7 for row in (rows[0], rows[2]))
 
 
-def test_crossings_confirm_makes_one_count(capsys, monkeypatch):
+def test_crossings_confirm_counts_each_pair_level_once(capsys, monkeypatch):
     from aqrm import spectrum
 
-    real = spectrum._count_below
+    real = spectrum._count_below_float
     calls = []
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(spectrum, "_count_below", counted)
+    def no_numpy_count(*args):
+        raise AssertionError("confirm counted through numpy")
+
+    monkeypatch.setattr(spectrum, "_count_below_float", counted)
+    monkeypatch.setattr(spectrum, "_count_below", no_numpy_count)
     code, out = run(capsys, "crossings", "--N", "24", "--two-eps", "1",
                     "--delta2", "7/3", "--confirm")
     assert code == 0
     rows = [json.loads(ln) for ln in out.split("\n") if ln]
     assert len(rows) == 23
     assert all("gap" in row for row in rows)
-    # every record's lane, whatever its derived truncation, in one count
-    assert len(calls) == 1
+    # two counts per record, one per level of its pair, each at its own
+    # derived truncation + CONV_MARGIN
+    assert len(calls) == 2 * len(rows)
+    assert [call[0] for call in calls[::2]] == [row["g"] for row in rows]
+    assert [call[3] for call in calls[::2]] == [call[3] for call in calls[1::2]]
+    assert all(call[3] >= 60 + spectrum.CONV_MARGIN for call in calls)
 
 
 def test_crossings_csv(capsys):

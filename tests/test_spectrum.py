@@ -133,39 +133,32 @@ def test_count_below_on_exact_eigenvalues_of_decoupled_spectra():
         assert np.all(got <= np.searchsorted(ev, shifts + 1e-9, "right"))
 
 
-def test_count_below_lanes_equal_one_lane_calls():
-    # one lane per truncation, each with its own g; its count must be that
-    # of a call with its n_max alone, bit for bit, on eigenvalues, between
-    # them and beyond +-bound, while the lanes below the largest
-    # truncation run up to 329 levels past their own. At g = 0 the levels
-    # are n +- sqrt(eps^2 + Delta^2) = n +- 1, and shifts on them make
-    # exactly singular pivots in that lane alone
-    truncations = [1, 21, 80, 231, 330]
-    g = np.array([[0.0], [0.45], [1.3], [0.8], [2.1]])
+def test_count_below_float_equals_one_lane_calls():
+    # the float count of one shift must be that of a one-lane _count_below
+    # call, bit for bit, on eigenvalues, between them, at and beyond
+    # +-bound and at +-1e300, for truncations from 1 to 330, each with its
+    # own g. At g = 0 the levels are n +- sqrt(eps^2 + Delta^2) = n +- 1,
+    # and shifts on them make the pivots exactly singular
     delta, eps = 0.8, 0.6
-    shifts = []
-    for lane_g, n_max in zip(g[:, 0], truncations):
-        ev = eigenvalues(ModelParams(lane_g, delta, eps), n_max)
-        shifts.append(np.concatenate([
+    for g, n_max in ((0.0, 1), (0.45, 21), (1.3, 80), (0.8, 231), (2.1, 330)):
+        ev = eigenvalues(ModelParams(g, delta, eps), n_max)
+        bound = n_max + abs(eps) + abs(delta) + 2 * math.sqrt(g * g * n_max) + 1
+        shifts = np.concatenate([
             [-1.0, 0.0, 1.0, 2.0], ev[:4], 0.5 * (ev[1:4] + ev[:3]),
-            [ev[-1], -1e300, 1e300],
-            [-2.0 * (n_max + 10), 2.0 * (n_max + 10)]]))
-    shifts = np.array(shifts)
-    with warnings.catch_warnings(), np.errstate(all="raise"):
-        warnings.simplefilter("error")
-        got = spectrum._count_below(g, delta, eps,
-                                    np.array(truncations)[:, None], shifts)
-        assert got.shape == shifts.shape
-        for lane, n_max in enumerate(truncations):
-            # a scalar n_max keeps the shape of the shifts
-            want = spectrum._count_below(g[lane], delta, eps, n_max,
-                                         shifts[lane])
-            assert want.shape == shifts[lane].shape
-            assert got[lane].dtype == want.dtype
-            assert got[lane].tobytes() == want.tobytes(), n_max
-            # beyond -bound nothing is counted, beyond +bound everything
-            assert want[-4] == want[-2] == 0
-            assert want[-3] == want[-1] == 2 * (n_max + 1)
+            [ev[-1], -1e300, 1e300, -bound, bound],
+            [-2.0 * (n_max + 10), 2.0 * (n_max + 10)]])
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            lanes = spectrum._count_below(g, delta, eps, n_max, shifts)
+            for shift, in_lanes in zip(shifts.tolist(), lanes.tolist()):
+                one = spectrum._count_below(g, delta, eps, n_max,
+                                            np.array([shift]))
+                got = spectrum._count_below_float(g, delta, eps, n_max, shift)
+                assert type(got) is int
+                assert got == int(one[0]) == in_lanes, (n_max, shift)
+        # beyond -bound nothing is counted, beyond +bound everything
+        assert lanes[-2] == lanes[-6] == lanes[-4] == 0
+        assert lanes[-1] == lanes[-5] == lanes[-3] == 2 * (n_max + 1)
 
 
 def test_convergence_flags_match_dense_rule():
@@ -208,10 +201,10 @@ def test_confirm_asymmetric_crossings():
 
 def logged_truncations(monkeypatch) -> list[tuple]:
     """Make spectrum log every dense solve as ("solve", n_max) and every
-    eigenvalue count as ("count", n_max): an int for a scalar n_max or a
-    single lane, else the tuple of lane truncations."""
+    eigenvalue count, in numpy or in floats, as ("count", n_max)."""
     log = []
     count_below = spectrum._count_below
+    count_below_float = spectrum._count_below_float
     eigvalsh = np.linalg.eigvalsh
 
     def logged_solve(h):
@@ -219,12 +212,16 @@ def logged_truncations(monkeypatch) -> list[tuple]:
         return eigvalsh(h)
 
     def logged_count(g, delta, eps, n_max, shifts):
-        lanes = tuple(np.ravel(n_max).tolist())
-        log.append(("count", lanes[0] if len(lanes) == 1 else lanes))
+        log.append(("count", n_max))
         return count_below(g, delta, eps, n_max, shifts)
+
+    def logged_count_float(g, delta, eps, n_max, shift):
+        log.append(("count", n_max))
+        return count_below_float(g, delta, eps, n_max, shift)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", logged_solve)
     monkeypatch.setattr(spectrum, "_count_below", logged_count)
+    monkeypatch.setattr(spectrum, "_count_below_float", logged_count_float)
     return log
 
 
@@ -238,19 +235,20 @@ def test_confirm_solves_once_at_derived_truncation(monkeypatch):
         for n_max, want in ((60, n), (200, 200)):
             log.clear()
             assert confirm_crossing(rec, n_max=n_max).gap < 1e-7
-            assert log == [("solve", want), ("count", want + 20)]
+            # one count per level of the pair
+            assert log == [("solve", want)] + [("count", want + 20)] * 2
 
 
 def test_confirm_failure_names_its_cause(monkeypatch, capsys):
     rec = find_crossings(1, 0, Fraction(1, 2), PREC)[0]
     with pytest.raises(ValueError, match="n_max must be >= 1"):
         confirm_crossing(rec, n_max=0)
-    count_below = spectrum._count_below
+    count_below_float = spectrum._count_below_float
 
-    def one_level_fell(g, delta, eps, n_max, shifts):
-        return count_below(g, delta, eps, n_max, shifts) + 1
+    def one_level_fell(g, delta, eps, n_max, shift):
+        return count_below_float(g, delta, eps, n_max, shift) + 1
 
-    monkeypatch.setattr(spectrum, "_count_below", one_level_fell)
+    monkeypatch.setattr(spectrum, "_count_below_float", one_level_fell)
     with pytest.raises(ValueError) as info:
         confirm_crossing(rec)
     assert str(info.value) == (
@@ -281,7 +279,7 @@ def test_confirm_rejects_perturbed_root(monkeypatch):
         f"no degenerate pair at lambda={fake.lambda_}: nearest eigenvalues "
         "miss by ")
     assert str(info.value).endswith(" at n_max=60")
-    assert log == [("solve", 60), ("count", 80)]
+    assert log == [("solve", 60), ("count", 80), ("count", 80)]
     # the avoided crossing at the perturbed point is wide open
     g = fake.g
     ev = eigenvalues(ModelParams(g, math.sqrt(0.5)), 60)
@@ -300,25 +298,27 @@ def test_confirm_batch_matches_one_record_calls(monkeypatch):
     records = (n40[:4] + small[:1] + [_perturbed(small[1])] + small[2:]
                + n30[:6] + n30[-1:] + n40[10::10])
     forced = small[7]
-    count_below = spectrum._count_below
+    count_below_float = spectrum._count_below_float
 
-    def forced_lane_fell(g, delta, eps, n_max, shifts):
-        counts = count_below(g, delta, eps, n_max, shifts)
-        return counts + (np.broadcast_to(g, counts.shape) == forced.g)
+    def forced_level_fell(g, delta, eps, n_max, shift):
+        fell = g == forced.g
+        return count_below_float(g, delta, eps, n_max, shift) + fell
 
-    monkeypatch.setattr(spectrum, "_count_below", forced_lane_fell)
+    monkeypatch.setattr(spectrum, "_count_below_float", forced_level_fell)
     log = logged_truncations(monkeypatch)
     assert confirm_crossings([]) == [] and log == []
     for n_max in (1, 60):
         log.clear()
         batch = confirm_crossings(records, n_max=n_max)
         solves = [n for kind, n in log if kind == "solve"]
-        counts = [n for kind, n in log if kind == "count"]
-        # one solve per record, and one count for the batch whose lanes
-        # are the records' truncations in record order
+        # one solve per record, each followed by a count per level at its
+        # truncation + CONV_MARGIN; the forced record fails on its first
         assert len(solves) == len(records)
-        assert counts == [tuple(n + spectrum.CONV_MARGIN for n in solves)]
-        assert len(counts) < len(records)
+        expected = []
+        for rec, n in zip(records, solves):
+            count = ("count", n + spectrum.CONV_MARGIN)
+            expected += [("solve", n)] + [count] * (1 if rec is forced else 2)
+        assert log == expected
         failures = []
         for rec, got in zip(records, batch):
             try:
