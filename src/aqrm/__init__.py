@@ -28,7 +28,7 @@ from .exactpoly import (
     refine_isolated,
     to_fraction,
 )
-from .gfunction import ExceptionalRoot, GValue, KSeries, find_exceptional, g_minus, g_plus, k_series
+from .gfunction import ExceptionalRoot, GValue, find_exceptional, g_minus, g_plus
 from .heun import HeunOp, bargmann_system_residual, heun_direct, reduction_check
 from .sl2rep import (
     KParams,
@@ -54,7 +54,6 @@ _SPECTRUM_NAMES = (
     "build_hamiltonian",
     "confirm_crossing",
     "confirm_crossings",
-    "convergence_flags",
     "sweep",
 )
 

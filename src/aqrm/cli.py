@@ -238,6 +238,9 @@ def _cmd_heun_check(args) -> int:
 
 def _cmd_gfunction(args) -> int:
     if args.g is not None:
+        if args.g_min is not None or args.g_max is not None:
+            raise ValueError("--g evaluates at one coupling; it cannot be "
+                             "combined with --g-min or --g-max")
         gp = gfunction.g_plus(args.N, args.g, args.delta, args.tol)
         gm = gfunction.g_minus(args.N, args.g, args.delta, args.tol)
         if args.format == "json":
@@ -307,7 +310,6 @@ def _add_common(sub, default_format: str):
     sub.add_argument("--format", choices=("json", "csv"),
                      default=default_format)
     sub.add_argument("--out", metavar="PATH", default=None)
-    sub.add_argument("--seed", type=int, default=0)
 
 
 @functools.cache
@@ -373,6 +375,7 @@ def build_parser() -> _Parser:
                         help="commutators, Casimir, block match, intertwiner")
     p.add_argument("--trials", type=int, default=3)
     _add_common(p, "json")
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_rep_check)
 
     p = subs.add_parser("heun-check",

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from .exactpoly import (BivarPoly, UniPoly, isolate_positive_roots,
                         poly_div_x, refine_isolated, to_fraction)
@@ -26,7 +26,7 @@ if TYPE_CHECKING:
 PLAIN = "plain"
 TILDE = "tilde"
 
-#: default positivity-sampling grid for verify_conjecture: all x > 0
+#: the positivity samples (x, d) of verify_conjecture, all with x > 0
 DEFAULT_GRID: tuple[tuple[Fraction, Fraction], ...] = tuple(
     (xv, dv)
     for xv in (Fraction(1, 10), Fraction(1), Fraction(10), Fraction(100))
@@ -271,14 +271,13 @@ def verify_identity_half(N: int, fault_k: int | None = None) -> dict:
             "ok": not failures}
 
 
-def verify_conjecture(N: int, ell: int,
-                      grid: Sequence[tuple] | None = None) -> dict:
+def verify_conjecture(N: int, ell: int) -> dict:
     """Divide the tilde polynomial at level N+ell by the plain one at level N.
 
     At eps = ell/2 the quotient is conjectured to be a polynomial with integer
     coefficients, positive for all x > 0. The report states (a) whether the
     remainder vanishes exactly, (b) whether the quotient has integer
-    coefficients, and (c) positivity at every grid sample with x > 0. A
+    coefficients, and (c) positivity at every sample of DEFAULT_GRID. A
     failing (a) is evidence against the conjecture and is reported, never
     raised.
     """
@@ -287,10 +286,8 @@ def verify_conjecture(N: int, ell: int,
     num = constraint_poly(ConstraintFamily(N + ell, ell, TILDE), N + ell)
     den = constraint_poly(ConstraintFamily(N, ell, PLAIN), N)
     quot, rem = poly_div_x(num, den)
-    samples = [(to_fraction(xv), to_fraction(dv))
-               for xv, dv in (grid if grid is not None else DEFAULT_GRID)]
     positivity = [((xv, dv), quot.evaluate(xv, dv) > 0)
-                  for xv, dv in samples if xv > 0]
+                  for xv, dv in DEFAULT_GRID]
     all_positive = all(flag for _, flag in positivity)
     report = {
         "N": N,

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 
 from .constraint import ConstraintFamily, constraint_poly_at
 from .exactpoly import UniPoly
@@ -32,25 +31,6 @@ PATCH_X = 0.5
 
 #: hard cap on series length before giving up
 N_STOP_MAX = 5000
-
-#: relative size of the term at which phi_one stops summing
-PHI_TOL = 1e-15
-
-
-@dataclass(frozen=True)
-class KSeries:
-    """Coefficients K_n for n = N..n_stop of the exceptional Frobenius series."""
-
-    N: int
-    g: float
-    delta: float
-    n_stop: int
-    coeffs: tuple[float, ...]
-
-    def k(self, n: int) -> float:
-        if not self.N <= n <= self.n_stop:
-            raise IndexError(f"K_{n} not stored (range {self.N}..{self.n_stop})")
-        return self.coeffs[n - self.N]
 
 
 def _k_terms(N: int, g: float, delta: float):
@@ -67,7 +47,7 @@ def _k_terms(N: int, g: float, delta: float):
         n += 1
 
 
-def _check_series_args(N: int, g: float, delta: float) -> None:
+def _validate_series_args(N: int, g: float, delta: float) -> None:
     """Reject a level, coupling or tunneling no series here is defined for."""
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -77,16 +57,6 @@ def _check_series_args(N: int, g: float, delta: float) -> None:
         raise ValueError("delta must be nonzero")
     if g < 0.0:
         raise ValueError("g must be nonnegative")
-
-
-def k_series(N: int, g: float, delta: float, n_stop: int) -> KSeries:
-    """Forward recurrence in double precision; K_N = 0 and K_{N+1} = 1."""
-    _check_series_args(N, g, delta)
-    if n_stop <= N + 1:
-        raise ValueError("n_stop must exceed N + 1")
-    terms = islice(_k_terms(N, g, delta), n_stop - N)
-    coeffs = (0.0, *(k_n for _, k_n in terms))
-    return KSeries(N=N, g=g, delta=delta, n_stop=n_stop, coeffs=coeffs)
 
 
 @dataclass(frozen=True)
@@ -101,7 +71,7 @@ class GValue:
 
 def _g_series(N: int, g: float, delta: float, tol: float, sign: int) -> GValue:
     """Shared series evaluator; sign=+1 gives G+, sign=-1 gives G-."""
-    _check_series_args(N, g, delta)
+    _validate_series_args(N, g, delta)
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be finite and positive")
     total = -sign * 2.0 * (N + 1) / delta
@@ -139,23 +109,6 @@ def g_plus(N: int, g: float, delta: float, tol: float = 1e-12) -> GValue:
 def g_minus(N: int, g: float, delta: float, tol: float = 1e-12) -> GValue:
     """G- at (g, Delta); equals G+ at (g, -Delta)."""
     return _g_series(N, g, delta, tol, -1)
-
-
-def phi_one(N: int, g: float, delta: float, x: float) -> float:
-    """The exceptional Frobenius solution phi_1 evaluated for |x| < 1."""
-    _check_series_args(N, g, delta)
-    if not abs(x) < 1:
-        raise ValueError("the series only converges for |x| < 1")
-    total = (N + 1) / delta * x**N
-    power = x ** (N + 1)
-    for n, k_n in _k_terms(N, g, delta):
-        term = -delta * k_n / (n - N) * power
-        total += term
-        if abs(term) < PHI_TOL * max(abs(total), PHI_TOL) and n >= N + 25:
-            return total
-        if n - N >= N_STOP_MAX:
-            raise RuntimeError("phi_1 series did not converge")
-        power *= x
 
 
 # -- root location --------------------------------------------------------------

@@ -197,14 +197,6 @@ def _converged(g, delta: float, eps: float, n_max: int, ev,
                         ev - CONV_TOL) <= k
 
 
-def convergence_flags(params: ModelParams, n_max: int,
-                      ev: np.ndarray) -> np.ndarray:
-    """Per-level flags for ev, the spectrum at n_max: whether each level moves
-    by less than CONV_TOL at n_max + CONV_MARGIN."""
-    return _converged(params.g, params.delta, params.eps, n_max, ev,
-                      np.arange(len(ev)))
-
-
 @dataclass(frozen=True)
 class CrossingObservation:
     """A numerically confirmed true degeneracy at coupling g_star."""

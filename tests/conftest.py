@@ -1,6 +1,9 @@
 from fractions import Fraction
+from itertools import islice
 
 import pytest
+
+from aqrm.gfunction import _k_terms
 
 
 def exact_k(N: int, g: float, delta: float, n_stop: int) -> list[Fraction]:
@@ -16,13 +19,13 @@ def exact_k(N: int, g: float, delta: float, n_stop: int) -> list[Fraction]:
 
 @pytest.fixture
 def assert_k_exact():
-    """Check every stored K_n of a KSeries against exact_k to 1e-12,
-    relative above 1 and absolute below."""
-    def check(ks):
-        want = exact_k(ks.N, ks.g, ks.delta, ks.n_stop)
-        assert len(want) == len(ks.coeffs)
-        for n, k in enumerate(want, start=ks.N):
-            err = abs(Fraction(ks.k(n)) - k)
-            assert err <= 1e-12 * max(1, abs(k)), (ks.N, ks.g, ks.delta, n,
-                                                   float(err))
+    """Check K_{N+1}..K_{n_stop} from gfunction._k_terms against exact_k to
+    1e-12, relative above 1 and absolute below."""
+    def check(N, g, delta, n_stop):
+        want = exact_k(N, g, delta, n_stop)[1:]
+        got = list(islice(_k_terms(N, g, delta), len(want)))
+        assert [n for n, _ in got] == list(range(N + 1, n_stop + 1))
+        for (n, k), w in zip(got, want):
+            err = abs(Fraction(k) - w)
+            assert err <= 1e-12 * max(1, abs(w)), (N, g, delta, n, float(err))
     return check

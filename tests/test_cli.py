@@ -221,6 +221,17 @@ def test_gfunction_missing_range_is_usage_error(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("bound", ["--g-min", "--g-max"])
+def test_gfunction_point_with_range_is_usage_error(capsys, bound):
+    code = main(["gfunction", "--N", "1", "--delta", "1.5", "--g", "0.5",
+                 bound, "0.2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == ("aqrm gfunction: --g evaluates at one coupling; it "
+                            "cannot be combined with --g-min or --g-max\n")
+
+
 @pytest.mark.parametrize("span", [["--g", "15"],
                                   ["--g-min", "0.1", "--g-max", "15"]])
 def test_gfunction_series_cap_fails_cleanly(capsys, span):
@@ -306,6 +317,26 @@ def test_unknown_flag_usage_exit(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["poly", "--N", "2", "--k", "1", "--frobnicate"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("poly", "--N", "3", "--k", "2"),
+    ("roots", "--N", "2", "--d", "1/4"),
+    ("crossings", "--N", "2", "--delta2", "1/2"),
+    ("verify-identity", "--N", "3"),
+    ("verify-conjecture", "--N", "2", "--ell", "1"),
+    ("heun-check", "--which", "1", "--lambda=-3/2", "--g2", "1/2", "--d", "1"),
+    ("gfunction", "--N", "1", "--delta", "1.5", "--g", "0.5"),
+    ("sweep", "--delta", "0.5", "--g-min", "0.1", "--g-max", "0.2"),
+])
+def test_seed_outside_rep_check_is_usage_error(capsys, argv):
+    # only rep-check draws random numbers, so only it takes --seed
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "7"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --seed 7" in captured.err
 
 
 def test_bad_rational_flag_usage_exit(capsys):
@@ -405,6 +436,13 @@ def test_malformed_nmax_env_is_usage_error(capsys, monkeypatch, argv):
         assert captured.out == ""
         assert captured.err.startswith(f"aqrm {argv[0]}: {message}")
         assert captured.err.count("\n") == 1
+
+
+def test_every_exported_name_resolves():
+    # the spectrum names are served lazily from a table of their own, so a
+    # stale entry there would fail only on first access
+    for name in aqrm.__all__:
+        getattr(aqrm, name)
 
 
 #: every subcommand that needs no diagonalization, with arguments

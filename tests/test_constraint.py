@@ -268,11 +268,11 @@ def test_verify_conjecture_ell_examples():
         report = verify_conjecture(N, 1)
         assert report["ok"]
         assert report["quotient"] == (N + 1) * X + D
-    grid = [(1, 1), (4, Fraction(1, 4)), (10, 2)]
-    report = verify_conjecture(2, 2, grid=grid)
+    report = verify_conjecture(2, 2)
     assert report["remainder_zero"] and report["integer_coeffs"]
     assert report["all_positive"] and report["ok"]
-    assert len(report["positivity"]) == 3
+    assert len(report["positivity"]) == 12
+    assert all(xv > 0 for (xv, _), _ in report["positivity"])
 
 
 def test_verify_conjecture_validation():

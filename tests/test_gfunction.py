@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -8,13 +9,11 @@ from aqrm import sl2rep, spectrum
 from aqrm.constraint import ConstraintFamily, constraint_poly
 from aqrm.gfunction import (
     ExceptionalRoot,
-    KSeries,
+    _k_terms,
     _scaled_constraint_magnitude,
     find_exceptional,
     g_minus,
     g_plus,
-    k_series,
-    phi_one,
 )
 
 
@@ -32,21 +31,13 @@ def direct_series_sum(N: int, g: float, delta: float, terms: int,
 
 
 def test_k_series_boundary_values():
+    # K_{N+1} = 1, and K_{N+2} is the first step of the recurrence from K_N = 0
     for N, g, delta in ((1, 0.3, 0.4), (2, 1.1, 1.5), (5, 0.0, 2.0)):
-        ks = k_series(N, g, delta, N + 30)
-        assert ks.k(N) == 0.0
-        assert ks.k(N + 1) == 1.0
-        assert ks.k(N + 2) == pytest.approx((4*g*g + 1 - delta*delta) / (N + 2),
-                                            rel=1e-15)
-
-
-def test_k_series_validation():
-    with pytest.raises(ValueError):
-        k_series(0, 0.3, 0.4, 30)
-    with pytest.raises(ValueError):
-        k_series(2, 0.3, 0.4, 3)
-    with pytest.raises(IndexError):
-        k_series(2, 0.3, 0.4, 30).k(2 + 31)
+        (n1, k1), (n2, k2) = islice(_k_terms(N, g, delta), 2)
+        assert (n1, k1) == (N + 1, 1.0)
+        assert n2 == N + 2
+        assert k2 == pytest.approx((4*g*g + 1 - delta*delta) / (N + 2),
+                                   rel=1e-15)
 
 
 def test_k_series_hand_computed_at_zero_coupling():
@@ -57,15 +48,15 @@ def test_k_series_hand_computed_at_zero_coupling():
     k3 = (1.0 - d2) / 3.0
     k4 = (2.0 - d2 / 2.0) * k3 / 4.0
     k5 = (3.0 - d2 / 3.0) * k4 / 5.0
-    ks = k_series(N, 0.0, delta, N + 6)
-    assert ks.k(3) == pytest.approx(k3, rel=1e-15)
-    assert ks.k(4) == pytest.approx(k4, rel=1e-15)
-    assert ks.k(5) == pytest.approx(k5, rel=1e-15)
+    ks = dict(islice(_k_terms(N, 0.0, delta), 4))
+    assert ks[3] == pytest.approx(k3, rel=1e-15)
+    assert ks[4] == pytest.approx(k4, rel=1e-15)
+    assert ks[5] == pytest.approx(k5, rel=1e-15)
 
 
 def test_recurrence_residuals_small(assert_k_exact):
     for N, g, delta in ((1, 0.3, 0.4), (2, 1.36, 1.5), (3, 0.9, 2.2)):
-        assert_k_exact(k_series(N, g, delta, N + 200))
+        assert_k_exact(N, g, delta, N + 200)
 
 
 def test_g_plus_converges_and_matches_two_depths():
@@ -97,18 +88,6 @@ def test_g_series_validation():
             g_plus(N, 0.5, 1.0)
         with pytest.raises(ValueError, match="N must be >= 1"):
             g_minus(N, 0.5, 1.0)
-        with pytest.raises(ValueError, match="N must be >= 1"):
-            phi_one(N, 0.5, 1.0, 0.1)
-    # phi_one divides by Delta and k_series runs on unchecked input unless
-    # they make the same checks as the G-series
-    with pytest.raises(ValueError, match="nonzero"):
-        phi_one(1, 0.3, 0.0, 0.1)
-    with pytest.raises(ValueError, match="nonzero"):
-        k_series(1, 0.3, 0.0, 10)
-    with pytest.raises(ValueError, match="nonnegative"):
-        phi_one(1, -0.3, 0.4, 0.1)
-    with pytest.raises(ValueError, match="nonnegative"):
-        k_series(1, -0.3, 0.4, 10)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -120,16 +99,6 @@ def test_g_series_rejects_nonfinite_input(bad):
             func(1, 0.5, bad)
         with pytest.raises(ValueError, match="finite"):
             func(1, 0.5, 1.0, tol=bad)
-    # without the check, phi_one ran 5,000 terms before a RuntimeError and
-    # k_series returned NaN coefficients
-    with pytest.raises(ValueError, match="finite"):
-        phi_one(1, bad, 1.0, 0.1)
-    with pytest.raises(ValueError, match="finite"):
-        phi_one(1, 0.3, bad, 0.1)
-    with pytest.raises(ValueError, match="finite"):
-        k_series(1, bad, 1.0, 10)
-    with pytest.raises(ValueError, match="finite"):
-        k_series(1, 0.3, bad, 10)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -210,14 +179,6 @@ def test_degenerate_suspect_scale():
     assert far > 1e-2
 
 
-def test_phi_one_series():
-    # at small x the leading term dominates: phi ~ (N+1)/Delta x^N
-    val = phi_one(1, 0.3, 0.4, 1e-4)
-    assert val == pytest.approx(2 / 0.4 * 1e-4, rel=1e-3)
-    with pytest.raises(ValueError):
-        phi_one(1, 0.3, 0.4, 1.0)
-
-
 def test_k_coefficients_are_an_operator_eigenvector():
     # the series coefficients assemble into the infinite eigenvector of the
     # representation operator at lambda = N - g^2, sitting on top of the
@@ -233,17 +194,11 @@ def test_k_coefficients_are_an_operator_eigenvector():
     K = sl2rep.assemble_K(params, kp)
     assert K.entry(m - 1, m) == 0
     lam_a = float(kp.lambda_a(a))
-    ks = k_series(N, float(g), float(delta), N + M + 5)
+    ks = dict(islice(_k_terms(N, float(g), float(delta)), M + 5))
     nu = {m: (N + 1) / float(delta)}
     for k in range(1, M + 3):
-        nu[m + k] = -float(delta) * ks.k(N + k) / k
+        nu[m + k] = -float(delta) * ks[N + k] / k
     for n in range(m, m + M - 2):
         row = sum(float(K.entry(n, c)) * nu.get(c, 0.0)
                   for c in (n - 1, n, n + 1))
         assert abs(row - lam_a * nu[n]) <= 1e-12 * max(1.0, abs(nu[n]))
-
-
-def test_kseries_dataclass_fields():
-    ks = k_series(1, 0.2, 0.3, 10)
-    assert isinstance(ks, KSeries)
-    assert ks.n_stop == 10 and len(ks.coeffs) == 10

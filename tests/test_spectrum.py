@@ -11,10 +11,10 @@ from aqrm.constraint import CrossingRecord, find_crossings
 from aqrm.spectrum import (
     CrossingObservation,
     ModelParams,
+    _converged,
     build_hamiltonian,
     confirm_crossing,
     confirm_crossings,
-    convergence_flags,
     eigenvalues,
     sweep,
 )
@@ -65,7 +65,8 @@ def test_self_convergence_of_reported_levels():
 def test_truncated_spectrum_convergence_flags():
     params = ModelParams(0.25, 0.5, 0.5)
     ev = eigenvalues(params, 60)
-    flags = convergence_flags(params, 60, ev)
+    flags = _converged(params.g, params.delta, params.eps, 60, ev,
+                       np.arange(len(ev)))
     assert len(ev) == len(flags) == 122
     assert np.all(np.diff(ev) >= -1e-12)
     count = 2 * 61 // 3
@@ -170,7 +171,7 @@ def test_convergence_flags_match_dense_rule():
             ev_big = np.linalg.eigvalsh(sigma_z_hamiltonian(
                 g, delta, eps, n_max + spectrum.CONV_MARGIN))
             want = np.abs(ev - ev_big[:len(ev)]) < spectrum.CONV_TOL
-            got = convergence_flags(ModelParams(g, delta, eps), n_max, ev)
+            got = _converged(g, delta, eps, n_max, ev, np.arange(len(ev)))
             assert np.array_equal(got, want), (g, delta, eps, n_max)
 
 
@@ -344,7 +345,8 @@ def test_sweep_single_point_matches_direct():
     params = ModelParams(0.3, 0.5, 0.0)
     ev = eigenvalues(params, 40)
     assert np.array_equal(sw.table[0], ev)
-    assert np.array_equal(sw.converged[0], convergence_flags(params, 40, ev))
+    assert np.array_equal(sw.converged[0], _converged(
+        params.g, params.delta, params.eps, 40, ev, np.arange(len(ev))))
 
 
 @pytest.mark.parametrize("n_max, delta, eps, grid", [
@@ -371,7 +373,7 @@ def test_sweep_flags_match_per_point_flags(monkeypatch):
     assert log == [("solve", 30)] * 41 + [("count", 50)]
     for g, ev, flags in zip(grid, sw.table, sw.converged):
         assert np.array_equal(
-            flags, convergence_flags(ModelParams(g, 1.3, 0.37), 30, ev))
+            flags, _converged(g, 1.3, 0.37, 30, ev, np.arange(len(ev))))
     assert sw.converged[0, 0] and not sw.converged[-1, -1]
 
 
