@@ -306,9 +306,10 @@ def _cmd_sweep(args) -> int:
 
 # -- parser construction ---------------------------------------------------------
 
-def _add_common(sub, default_format: str):
-    sub.add_argument("--format", choices=("json", "csv"),
-                     default=default_format)
+def _add_common(sub, default_format: str, formats=("json", "csv")):
+    """--format and --out. A subcommand that writes one JSON report passes
+    formats=("json",), so asking it for csv is a usage error."""
+    sub.add_argument("--format", choices=formats, default=default_format)
     sub.add_argument("--out", metavar="PATH", default=None)
 
 
@@ -361,20 +362,20 @@ def build_parser() -> _Parser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--inject-fault", action="store_true",
                    help="perturb one recurrence coefficient (self-test)")
-    _add_common(p, "json")
+    _add_common(p, "json", formats=("json",))
     p.set_defaults(handler=_cmd_verify_identity)
 
     p = subs.add_parser("verify-conjecture",
                         help="divisibility/positivity of the level-shift quotient")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
-    _add_common(p, "json")
+    _add_common(p, "json", formats=("json",))
     p.set_defaults(handler=_cmd_verify_conjecture)
 
     p = subs.add_parser("rep-check",
                         help="commutators, Casimir, block match, intertwiner")
     p.add_argument("--trials", type=int, default=3)
-    _add_common(p, "json")
+    _add_common(p, "json", formats=("json",))
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_rep_check)
 
@@ -387,7 +388,7 @@ def build_parser() -> _Parser:
     p.add_argument("--d", type=to_fraction, required=True, metavar="P/Q")
     p.add_argument("--eps", type=to_fraction, default=Fraction(0),
                    metavar="P/Q")
-    _add_common(p, "json")
+    _add_common(p, "json", formats=("json",))
     p.set_defaults(handler=_cmd_heun_check)
 
     p = subs.add_parser("gfunction",

@@ -12,10 +12,11 @@ two families at half-integer eps.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .exactpoly import (BivarPoly, UniPoly, isolate_positive_roots,
                         poly_div_x, refine_isolated, to_fraction)
@@ -53,25 +54,26 @@ class ConstraintFamily:
 
 
 def _poly_sequence(N: int, two_eps_eff: int, k_max: int,
-                   ring: tuple | None = None, q: int = 1) -> list:
-    """P_0..P_k_max by the three-term recurrence.
+                   ring: tuple | None = None, q: int = 1) -> Iterator:
+    """Yield P_0..P_k_max by the three-term recurrence, keeping two terms.
 
     P_0 = 1 and
     P_k = [k x + d - k^2 - k*two_eps_eff] P_{k-1} - k(k-1)(N-k+1) x P_{k-2};
-    the tilde variant is this recurrence with two_eps_eff negated. The terms
-    are BivarPolys unless ring = (one, x, d) says otherwise; with
-    (1, q x, p) as UniPolys and q scaling the constant and back terms, they
-    are Q_k = q^k P_k(x, p/q), the int polynomials at d = p/q.
+    the tilde variant is this recurrence with two_eps_eff negated. Only
+    P_{k-1} and P_{k-2} are held while P_k is built, so a caller that wants
+    the last term does not keep the whole sequence. The terms are BivarPolys
+    unless ring = (one, x, d) says otherwise; with (1, q x, p) as UniPolys
+    and q scaling the constant and back terms, they are Q_k = q^k P_k(x, p/q),
+    the int polynomials at d = p/q.
     """
     one, x, d = ring or (BivarPoly.const(1), BivarPoly.x(), BivarPoly.d())
-    seq = [one]
-    prev2 = 0 * one
+    prev2, prev = 0 * one, one
+    yield one
     for k in range(1, k_max + 1):
         head = k * x + d - (q * (k * k + k * two_eps_eff)) * one
-        p = head * seq[-1] - (q * k * (k - 1) * (N - k + 1)) * x * prev2
-        prev2 = seq[-1]
-        seq.append(p)
-    return seq
+        prev2, prev = prev, (head * prev
+                             - (q * k * (k - 1) * (N - k + 1)) * x * prev2)
+        yield prev
 
 
 def _effective_two_eps(fam: ConstraintFamily, k: int) -> int:
@@ -82,7 +84,8 @@ def _effective_two_eps(fam: ConstraintFamily, k: int) -> int:
 
 def constraint_poly(fam: ConstraintFamily, k: int) -> BivarPoly:
     """The exact k-th constraint polynomial of the family (degree k in x)."""
-    return _poly_sequence(fam.N, _effective_two_eps(fam, k), k)[k]
+    return deque(_poly_sequence(fam.N, _effective_two_eps(fam, k), k),
+                 maxlen=1).pop()
 
 
 def constraint_poly_at(fam: ConstraintFamily, k: int, d_value) -> UniPoly:
@@ -95,7 +98,7 @@ def constraint_poly_at(fam: ConstraintFamily, k: int, d_value) -> UniPoly:
     d_value = to_fraction(d_value)
     p, q = d_value.numerator, d_value.denominator
     ring = (UniPoly([1]), UniPoly([0, q]), UniPoly([p]))
-    return _poly_sequence(fam.N, eff, k, ring, q)[k]
+    return deque(_poly_sequence(fam.N, eff, k, ring, q), maxlen=1).pop()
 
 
 @dataclass(frozen=True)
@@ -258,15 +261,17 @@ def verify_identity_half(N: int, fault_k: int | None = None) -> dict:
     x, d = BivarPoly.x(), BivarPoly.d()
     plain = _poly_sequence(N, 1, N)
     tilde = _poly_sequence(N + 1, -1, N + 1)
+    next(tilde)  # tilde P_0 = 1 pairs with no plain term
     failures = []
-    for k in range(N + 1):
-        rhs = ((k + 1) * x + d) * plain[k]
-        if k >= 1:
-            rhs = rhs - (k * (k + 1) * (N - k)) * x * plain[k - 1]
+    prev = BivarPoly.zero()  # P_{k-1}; its coefficient vanishes at k = 0
+    for k, (p_k, tilde_next) in enumerate(zip(plain, tilde)):
+        rhs = (((k + 1) * x + d) * p_k
+               - (k * (k + 1) * (N - k)) * x * prev)
         if fault_k is not None and k == fault_k:
             rhs = rhs + x
-        if tilde[k + 1] != rhs:
+        if tilde_next != rhs:
             failures.append(k)
+        prev = p_k
     return {"N": N, "checked": N + 1, "failures": failures,
             "ok": not failures}
 

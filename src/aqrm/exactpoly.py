@@ -39,8 +39,12 @@ def to_exact(value) -> int | Fraction:
 class BivarPoly:
     """Polynomial in x and d, stored as a map (i, j) -> coefficient of x^i d^j.
 
-    Coefficients are Fractions; zero coefficients are never stored, so equality
-    of term maps is equality of polynomials.
+    Coefficients are Fractions and zero coefficients are never stored, so
+    equality of term maps is equality of polynomials. The constructor
+    validates its input: it coerces every coefficient with to_fraction and
+    drops the zeros. Ring operations keep the invariant themselves (Fractions
+    combine into Fractions, and each result is pruned of zeros) and build
+    their results with _raw, which stores the map as it is.
     """
 
     __slots__ = ("terms",)
@@ -53,6 +57,13 @@ class BivarPoly:
                 if c:
                     clean[(int(i), int(j))] = c
         self.terms = clean
+
+    @classmethod
+    def _raw(cls, terms: dict[tuple[int, int], Fraction]) -> "BivarPoly":
+        """Wrap a term map that already holds nonzero Fractions only."""
+        poly = object.__new__(cls)
+        poly.terms = terms
+        return poly
 
     # -- constructors ------------------------------------------------------
 
@@ -75,34 +86,25 @@ class BivarPoly:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "BivarPoly":
-        other = _coerce(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, Fraction(0)) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return BivarPoly(out)
+        return _merge(self.terms, _coerce(other).terms.items())
 
     def __sub__(self, other) -> "BivarPoly":
-        return self + (-_coerce(other))
+        return _merge(self.terms,
+                      ((k, -c) for k, c in _coerce(other).terms.items()))
 
     def __neg__(self) -> "BivarPoly":
-        return BivarPoly({k: -c for k, c in self.terms.items()})
+        return BivarPoly._raw({k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other) -> "BivarPoly":
         other = _coerce(other)
         out: dict[tuple[int, int], Fraction] = {}
+        get = out.get
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in other.terms.items():
                 k = (i1 + i2, j1 + j2)
-                s = out.get(k, Fraction(0)) + c1 * c2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return BivarPoly(out)
+                s = get(k)
+                out[k] = c1 * c2 if s is None else s + c1 * c2
+        return BivarPoly._raw({k: c for k, c in out.items() if c})
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -184,6 +186,22 @@ class BivarPoly:
 
     def __repr__(self) -> str:
         return f"BivarPoly({self.to_text()})"
+
+
+def _merge(terms: dict, items) -> BivarPoly:
+    """The polynomial with term map terms plus the (key, coefficient) items."""
+    out = dict(terms)
+    for k, c in items:
+        s = out.get(k)
+        if s is None:
+            out[k] = c
+            continue
+        s += c
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+    return BivarPoly._raw(out)
 
 
 def _coerce(value) -> BivarPoly:

@@ -339,6 +339,24 @@ def test_seed_outside_rep_check_is_usage_error(capsys, argv):
     assert "unrecognized arguments: --seed 7" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify-identity", "--N", "6"),
+    ("verify-conjecture", "--N", "3", "--ell", "1"),
+    ("rep-check", "--trials", "1"),
+    ("heun-check", "--which", "1", "--lambda=-3/2", "--g2", "1/2", "--d", "1"),
+])
+def test_json_only_subcommand_rejects_csv(capsys, argv):
+    # these subcommands write one JSON report; csv is refused, not ignored
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "csv"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice: 'csv'" in captured.err
+    assert main([*argv, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"]
+
+
 def test_bad_rational_flag_usage_exit(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["roots", "--N", "1", "--d", "not-a-number"])

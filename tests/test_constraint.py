@@ -256,9 +256,14 @@ def test_verify_identity_small_and_large():
 
 
 def test_verify_identity_fault_injection():
-    report = verify_identity_half(3, fault_k=0)
-    assert not report["ok"]
-    assert report["failures"] == [0]
+    # a fault at any k is reported at that k alone: the plain and tilde
+    # sequences are walked in step, with no term skipped or repeated
+    for N in (1, 5, 12):
+        for k in range(N + 1):
+            report = verify_identity_half(N, fault_k=k)
+            assert not report["ok"], (N, k)
+            assert report["failures"] == [k], (N, k)
+            assert report["checked"] == N + 1
 
 
 def test_verify_conjecture_ell_examples():

@@ -77,6 +77,41 @@ def test_ring_axioms_randomized():
         assert sympy.expand(to_sympy(a) * to_sympy(b) - to_sympy(a * b)) == 0
 
 
+def assert_canonical(p: BivarPoly, expected) -> None:
+    """p stores no zero coefficient and agrees with the BivarPoly built
+    afresh from the sympy expression expected."""
+    assert all(type(c) is Fraction and c for c in p.terms.values())
+    assert sympy.expand(to_sympy(p) - expected) == 0
+    fresh = BivarPoly({key: Fraction(int(c.p), int(c.q)) for key, c in
+                       sympy.Poly(expected, SX, SD).terms()})
+    assert p == fresh and hash(p) == hash(fresh)
+    assert p.deg_x() == fresh.deg_x()
+    assert p.leading_x_coeff() == fresh.leading_x_coeff()
+
+
+def test_cancellation_leaves_no_zero_terms():
+    # ring results are not re-validated, so each operation must prune what
+    # cancels itself
+    assert_canonical((X + D) * (X - D) - X * X + D * D, sympy.Integer(0))
+    lead = X * X * X + 2 * X * D - 1
+    rest = X * X * D - X * X * X
+    assert_canonical(lead + rest,
+                     sympy.expand(to_sympy(lead) + to_sympy(rest)))
+    assert (lead + rest).deg_x() == 2
+    assert_canonical(lead - X * X * X, sympy.expand(to_sympy(lead) - SX**3))
+    rng = random.Random(20261019)
+    for _ in range(40):
+        p, q = random_poly(rng), random_poly(rng)
+        assert_canonical(p - p, sympy.Integer(0))
+        assert_canonical(-p + p, sympy.Integer(0))
+        assert_canonical(p * q - q * p, sympy.Integer(0))
+        top = BivarPoly({key: c for key, c in p.terms.items()
+                         if key[0] == p.deg_x()})
+        assert_canonical(p - top, sympy.expand(to_sympy(p) - to_sympy(top)))
+        assert_canonical(p * q + p,
+                         sympy.expand(to_sympy(p) * (to_sympy(q) + 1)))
+
+
 def test_text_and_json_round_trip(capsys):
     # poly's "terms" are built in cli; they rebuild the same polynomial
     for n, two_eps, variant, k in ((1, 0, "plain", 1), (2, 1, "plain", 2),
