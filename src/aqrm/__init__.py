@@ -28,7 +28,8 @@ from .exactpoly import (
     refine_isolated,
     to_fraction,
 )
-from .gfunction import ExceptionalRoot, GValue, find_exceptional, g_minus, g_plus
+from .gfunction import (ExceptionalRoot, GValue, find_exceptional, g_minus,
+                        g_pair, g_plus)
 from .heun import HeunOp, bargmann_system_residual, heun_direct, reduction_check
 from .sl2rep import (
     KParams,

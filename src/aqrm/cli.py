@@ -241,8 +241,7 @@ def _cmd_gfunction(args) -> int:
         if args.g_min is not None or args.g_max is not None:
             raise ValueError("--g evaluates at one coupling; it cannot be "
                              "combined with --g-min or --g-max")
-        gp = gfunction.g_plus(args.N, args.g, args.delta, args.tol)
-        gm = gfunction.g_minus(args.N, args.g, args.delta, args.tol)
+        gp, gm = gfunction.g_pair(args.N, args.g, args.delta, args.tol)
         if args.format == "json":
             _emit(args, json.dumps({
                 "N": args.N, "delta": args.delta, "g": args.g,

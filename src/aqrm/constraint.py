@@ -16,10 +16,10 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .exactpoly import (BivarPoly, UniPoly, isolate_positive_roots,
-                        poly_div_x, refine_isolated, to_fraction)
+                        poly_div_x, root_refiner, to_fraction)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -308,10 +308,26 @@ def verify_conjecture(N: int, ell: int) -> dict:
     return report
 
 
+def crossing_refiner(precision) -> Callable[[CrossingRecord], CrossingRecord]:
+    """refine_crossing at one precision, for many records: P_N at d and its
+    square-free part are built once for each (N, 2 eps, d) the records
+    share, and go with the returned function."""
+    refiners = {}
+
+    def refine(rec: CrossingRecord) -> CrossingRecord:
+        key = (rec.N, rec.two_eps, rec.d_value)
+        if key not in refiners:
+            fam = ConstraintFamily(rec.N, rec.two_eps, PLAIN)
+            refiners[key] = root_refiner(
+                constraint_poly_at(fam, rec.N, rec.d_value))
+        interval = refiners[key](rec.root_interval, precision)
+        return CrossingRecord(N=rec.N, two_eps=rec.two_eps,
+                              d_value=rec.d_value, root_interval=interval,
+                              rep_pair=rec.rep_pair)
+
+    return refine
+
+
 def refine_crossing(rec: CrossingRecord, precision) -> CrossingRecord:
     """Return the record with its root interval shrunk to width <= precision."""
-    fam = ConstraintFamily(rec.N, rec.two_eps, PLAIN)
-    p = constraint_poly_at(fam, rec.N, rec.d_value)
-    interval = refine_isolated(p, rec.root_interval, precision)
-    return CrossingRecord(N=rec.N, two_eps=rec.two_eps, d_value=rec.d_value,
-                          root_interval=interval, rep_pair=rec.rep_pair)
+    return crossing_refiner(precision)(rec)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 
 def to_fraction(value) -> Fraction:
@@ -575,20 +575,35 @@ def _refine(q: list[int], lo: Fraction, hi: Fraction,
     return (lo + a * cell, lo + (a + 1) * cell)
 
 
+def root_refiner(p: UniPoly) -> Callable[..., tuple[Fraction, Fraction]]:
+    """refine_isolated(p, interval, precision) as a function of interval and
+    precision, for shrinking many intervals of one p: the square-free part
+    of p is built on the first call that needs it and kept for the rest.
+    Every interval gets refine_isolated's check that it holds one root."""
+    s: list[int] | None = None
+
+    def refine(interval: tuple, precision) -> tuple[Fraction, Fraction]:
+        nonlocal s
+        lo, hi = to_fraction(interval[0]), to_fraction(interval[1])
+        if lo == hi and not p.is_zero() and p(lo) == 0:
+            return (lo, hi)
+        if p.is_zero() or lo >= hi:
+            raise ValueError("interval does not isolate exactly one root")
+        precision = to_fraction(precision)
+        if precision <= 0:
+            raise ValueError("precision must be positive")
+        if s is None:
+            s = _square_free(_integer_coeffs(p.coeffs))
+        if len(s) <= 1:
+            raise ValueError("interval does not isolate exactly one root")
+        q = _cell_poly(s, lo, hi)
+        if _roots_in_cell(q) + (not p(hi)) != 1:
+            raise ValueError("interval does not isolate exactly one root")
+        return _refine(q, lo, hi, precision)
+
+    return refine
+
+
 def refine_isolated(p: UniPoly, interval: tuple, precision) -> tuple[Fraction, Fraction]:
     """Shrink an isolating interval (half-open, exactly one root) to width <= precision."""
-    lo, hi = to_fraction(interval[0]), to_fraction(interval[1])
-    if lo == hi and not p.is_zero() and p(lo) == 0:
-        return (lo, hi)
-    if p.is_zero() or lo >= hi:
-        raise ValueError("interval does not isolate exactly one root")
-    precision = to_fraction(precision)
-    if precision <= 0:
-        raise ValueError("precision must be positive")
-    s = _square_free(_integer_coeffs(p.coeffs))
-    if len(s) <= 1:
-        raise ValueError("interval does not isolate exactly one root")
-    q = _cell_poly(s, lo, hi)
-    if _roots_in_cell(q) + (not p(hi)) != 1:
-        raise ValueError("interval does not isolate exactly one root")
-    return _refine(q, lo, hi, precision)
+    return root_refiner(p)(interval, precision)

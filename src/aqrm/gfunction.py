@@ -19,6 +19,7 @@ at x = 1/2 is what makes the reported zeros land on true eigenvalues.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -69,30 +70,33 @@ class GValue:
     converged: bool
 
 
-def _g_series(N: int, g: float, delta: float, tol: float, sign: int) -> GValue:
-    """Shared series evaluator; sign=+1 gives G+, sign=-1 gives G-."""
-    _validate_series_args(N, g, delta)
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tol must be finite and positive")
+def _g_sum(N: int, g: float, delta: float, tol: float, sign: int,
+           terms) -> GValue | RuntimeError:
+    """G+ (sign=+1) or G- (sign=-1) summed over the (n, K_n) of terms, or
+    the RuntimeError of a series that does not settle within N_STOP_MAX
+    terms."""
     total = -sign * 2.0 * (N + 1) / delta
+    sign_delta = sign * delta
     comp = 0.0  # compensated-summation carry
     weight = 1.0  # (1/2)^(n-N-1) at n = N+1
     small_streak = 0
-    for n, k_n in _k_terms(N, g, delta):
-        term = k_n * (1.0 + sign * delta / (n - N)) * weight
+    for n, k_n in terms:
+        term = k_n * (1.0 + sign_delta / (n - N)) * weight
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
-        # the |total| floor lets evaluation terminate at zeros of G itself
-        if abs(term) < tol * max(abs(total), tol):
+        # the |total| floor lets evaluation terminate at zeros of G itself;
+        # the conditional is max(|total|, tol), NaN included, without the call
+        size = abs(total)
+        if abs(term) < tol * (tol if tol > size else size):
             small_streak += 1
             if small_streak >= 3 and n >= N + 25:
                 break
         else:
             small_streak = 0
         if n - N >= N_STOP_MAX:
-            raise RuntimeError(
+            return RuntimeError(
                 f"series did not converge within {N_STOP_MAX} terms "
                 f"(g={g} too large for double-precision truncation)")
         weight *= PATCH_X
@@ -101,14 +105,50 @@ def _g_series(N: int, g: float, delta: float, tol: float, sign: int) -> GValue:
                   converged=tail_bound < 1e-3 * abs(total))
 
 
+def _g_series(N: int, g: float, delta: float, tol: float,
+              signs) -> list[GValue | RuntimeError]:
+    """G+ (sign +1) and G- (sign -1) for each of signs, in order, from one
+    run of _k_terms.
+
+    Each sign keeps its own compensated sum, small-term streak, n_stop and
+    tail bound, so its value is that of a series run for it alone, bit for
+    bit. A sign whose series does not settle gets its RuntimeError in place
+    of a GValue.
+    """
+    _validate_series_args(N, g, delta)
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be finite and positive")
+    # each sign takes its iterator off the list, so the K_n a finished sign
+    # will not read are not kept for it
+    streams = list(itertools.tee(_k_terms(N, g, delta), len(signs)))
+    return [_g_sum(N, g, delta, tol, sign, streams.pop(0)) for sign in signs]
+
+
+def _checked(values: list[GValue | RuntimeError]) -> list[GValue]:
+    """values, or the first RuntimeError among them raised."""
+    for value in values:
+        if isinstance(value, RuntimeError):
+            raise value
+    return values
+
+
 def g_plus(N: int, g: float, delta: float, tol: float = 1e-12) -> GValue:
     """G+ at (g, Delta); zeros give non-degenerate eigenvalues N - g^2."""
-    return _g_series(N, g, delta, tol, +1)
+    return _checked(_g_series(N, g, delta, tol, (+1,)))[0]
 
 
 def g_minus(N: int, g: float, delta: float, tol: float = 1e-12) -> GValue:
     """G- at (g, Delta); equals G+ at (g, -Delta)."""
-    return _g_series(N, g, delta, tol, -1)
+    return _checked(_g_series(N, g, delta, tol, (-1,)))[0]
+
+
+def g_pair(N: int, g: float, delta: float,
+           tol: float = 1e-12) -> tuple[GValue, GValue]:
+    """(G+, G-) at (g, Delta) from one K recurrence: each equals g_plus or
+    g_minus bit for bit, and a series that does not settle raises as they
+    do, G+ first."""
+    plus, minus = _checked(_g_series(N, g, delta, tol, (+1, -1)))
+    return plus, minus
 
 
 # -- root location --------------------------------------------------------------
@@ -158,9 +198,14 @@ def find_exceptional(N: int, delta: float, g_range: tuple[float, float],
         raise ValueError("delta must be positive")
     grid = [g_lo + (g_hi - g_lo) * i / 199 for i in range(200)]
     p_n = constraint_poly_at(ConstraintFamily(N, 0), N, Fraction(delta) ** 2)
+    # one series pass per coupling, at g_plus's default tol, serves both
+    # parities; a parity's grid failure is raised only when its turn comes,
+    # as if each grid were walked on its own, plus before minus
+    pairs = [_g_series(N, g, delta, 1e-12, (+1, -1)) for g in grid]
     roots: list[ExceptionalRoot] = []
-    for parity, func in (("plus", g_plus), ("minus", g_minus)):
-        values = [func(N, g, delta).value for g in grid]
+    for column, (parity, func) in enumerate((("plus", g_plus),
+                                             ("minus", g_minus))):
+        values = [gv.value for gv in _checked([p[column] for p in pairs])]
         for i in range(199):
             a, b = grid[i], grid[i + 1]
             fa, fb = values[i], values[i + 1]

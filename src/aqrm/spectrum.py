@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .constraint import CrossingRecord, refine_crossing
+from .constraint import CrossingRecord, crossing_refiner
 
 DEFAULT_NMAX = 60
 
@@ -37,11 +37,12 @@ CONV_TOL = 1e-9
 
 #: a level pair closer than this counts as a degeneracy
 DEGENERACY_TOL = 1e-7
-#: confirm_crossing first refines a record wider in x than DEGENERACY_TOL
-#: times this; the level gap grows about linearly with the width (about 1
-#: per unit of x at N=12), and records at the CLI default width 1e-12 are
-#: never refined
+#: confirm_crossings first refines a record wider in x than REFINE_WIDTH,
+#: DEGENERACY_TOL times CONFIRM_WIDTH; the level gap grows about linearly
+#: with the width (about 1 per unit of x at N=12), and records at the CLI
+#: default width 1e-12 are never refined
 CONFIRM_WIDTH = Fraction(1, 1000)
+REFINE_WIDTH = Fraction(DEGENERACY_TOL) * CONFIRM_WIDTH
 
 
 @dataclass(frozen=True)
@@ -130,26 +131,53 @@ def _count_below(g, delta: float, eps: float, n_max: int,
     # changes no count and keeps the pivots finite
     s = np.clip(shifts, -bound, bound)
     rho = np.finfo(float).eps * bound
-    pivmin = 0.25 * rho * rho
     a0, c0 = eps - s, -eps - s
-    a, b, c = a0, delta, c0
+    # pivmin spread over the lanes: a comparison with a broadcast column
+    # costs about three times one with a whole array
+    pivmin = np.full(a0.shape, 0.25 * rho * rho)
+    # the recurrence runs in place in these buffers, making the operations
+    # of the formulas above in their order, so every pivot is the same
+    a, a_next, c, det, inv, t = (np.empty_like(a0) for _ in range(6))
+    a[...], c[...] = a0, c0
+    b = np.full_like(a0, delta)
+    near = np.empty(a0.shape, bool)
     # a block has one negative eigenvalue when det < 0, else two or none as
-    # a is negative or positive: balance counts the blocks with none less
-    # the blocks with two
-    balance = np.zeros(np.shape(s))
+    # a is negative or positive. Per lane, flags[0] marks det > 0 and
+    # flags[1] det > 0 with the sign bit of a set; the uint8 tallies of both
+    # move into int totals every 255 levels, before they could wrap
+    flags = np.empty((2,) + a0.shape, bool)
+    tally = np.zeros(flags.shape, np.uint8)
+    total = np.zeros(flags.shape, np.intp)
     for n in range(n_max + 1):
         if n:
-            inv = g2 * n / det
-            a, b, c = (a0 + n) - inv * c, delta - inv * b, (c0 + n) - inv * a
-        det = a * c - b * b
-        near = np.abs(det) < pivmin
-        if near.any():
+            # inv = g^2 n / det, then a, b, c = (a0 + n) - inv c,
+            # delta - inv b, (c0 + n) - inv a
+            np.divide(g2 * n, det, out=inv)
+            np.multiply(inv, c, out=t)
+            np.subtract(np.add(a0, n, out=a_next), t, out=a_next)
+            np.subtract(delta, np.multiply(inv, b, out=t), out=b)
+            np.multiply(inv, a, out=t)
+            np.subtract(np.add(c0, n, out=c), t, out=c)
+            a, a_next = a_next, a
+        # det = a c - b b
+        np.subtract(np.multiply(a, c, out=det), np.multiply(b, b, out=t),
+                    out=det)
+        if np.less(np.abs(det, out=t), pivmin, out=near).any():
             trace = a + c
             step = np.where(near, np.copysign(rho, trace), 0.0)
-            det = det + step * (trace + step)
-            a, c = a + step, c + step
-        balance += np.copysign(det > 0, a)
-    return n_max + 1 - balance.astype(np.intp)
+            det += step * (trace + step)
+            a += step
+            c += step
+        np.greater(det, 0, out=flags[0])
+        np.logical_and(flags[0], np.signbit(a, out=flags[1]), out=flags[1])
+        np.add(tally, flags.view(np.uint8), out=tally)
+        if n % 255 == 254:
+            total += tally
+            tally[...] = 0
+    total += tally
+    # n_max + 1 blocks less those with none (flags[0] but not flags[1])
+    # plus those with two (flags[1])
+    return n_max + 1 - total[0] + 2 * total[1]
 
 
 def _count_below_float(g: float, delta: float, eps: float, n_max: int,
@@ -257,15 +285,15 @@ def sweep(delta: float, eps: float, g_grid,
                          crossings=tuple(found))
 
 
-def _confirm(record: CrossingRecord, n_max: int) -> CrossingObservation:
+def _confirm(record: CrossingRecord, n_max: int,
+             refine) -> CrossingObservation:
     """Confirm one record, or raise the ValueError that names its failure:
-    refine the record if it is too wide, solve once at its derived
-    truncation n, pick the two levels nearest its lambda and count each at
-    n + CONV_MARGIN by the rule of _converged."""
-    precision = Fraction(DEGENERACY_TOL) * CONFIRM_WIDTH
+    refine the record if it is wider than REFINE_WIDTH, solve once at its
+    derived truncation n, pick the two levels nearest its lambda and count
+    each at n + CONV_MARGIN by the rule of _converged."""
     lo, hi = record.root_interval
-    if hi - lo > precision:
-        record = refine_crossing(record, precision)
+    if hi - lo > REFINE_WIDTH:
+        record = refine(record)
     g_star = record.g
     target = record.lambda_
     params = ModelParams(g=g_star, delta=math.sqrt(float(record.d_value)),
@@ -313,10 +341,13 @@ def confirm_crossings(records, n_max: int = DEFAULT_NMAX
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    # a command's records mostly share one polynomial, which the refiner
+    # builds once
+    refine = crossing_refiner(REFINE_WIDTH)
     results = []
     for record in records:
         try:
-            results.append(_confirm(record, n_max))
+            results.append(_confirm(record, n_max, refine))
         except ValueError as exc:
             results.append(exc)
     return results

@@ -13,6 +13,7 @@ from aqrm.constraint import (
     CrossingRecord,
     constraint_poly,
     constraint_poly_at,
+    crossing_refiner,
     find_crossings,
     kernel_vector,
     refine_crossing,
@@ -22,7 +23,8 @@ from aqrm.constraint import (
     verify_identity_half,
 )
 from aqrm.cli import main
-from aqrm.exactpoly import BivarPoly, refine_isolated
+from aqrm import constraint
+from aqrm.exactpoly import BivarPoly, refine_isolated, root_refiner
 
 X, D = BivarPoly.x(), BivarPoly.d()
 PREC = Fraction(1, 10**12)
@@ -173,6 +175,44 @@ def test_refine_crossing_shrinks_interval():
     lo, hi = fine.root_interval
     assert hi - lo <= Fraction(1, 10**15)
     assert fine.rep_pair == rec.rep_pair
+
+
+def test_crossing_refiner_builds_each_polynomial_once(monkeypatch):
+    # one refiner serves records of two polynomials, interleaved: each
+    # polynomial is built once, and every record comes out as
+    # refine_crossing leaves it
+    recs = (find_crossings(12, 1, Fraction(7, 3), Fraction(1, 100))
+            + find_crossings(9, 0, Fraction(5, 2), Fraction(1, 100)))
+    recs = recs[::2] + recs[1::2]
+    want = [refine_crossing(rec, PREC) for rec in recs]
+    built = []
+    real = constraint.constraint_poly_at
+
+    def counted(fam, k, d_value):
+        built.append((fam.N, fam.two_eps, d_value))
+        return real(fam, k, d_value)
+
+    monkeypatch.setattr(constraint, "constraint_poly_at", counted)
+    refine = crossing_refiner(PREC)
+    assert [refine(rec) for rec in recs] == want
+    assert sorted(built) == [(9, 0, Fraction(5, 2)), (12, 1, Fraction(7, 3))]
+
+
+def test_root_refiner_checks_every_interval():
+    # the square-free part is kept between calls, the one-root check is not
+    # skipped: an interval with two roots or none is rejected after a good one
+    p = constraint_poly_at(ConstraintFamily(6, 0), 6, Fraction(1, 3))
+    intervals = find_crossings(6, 0, Fraction(1, 3), Fraction(1, 100))
+    refine = root_refiner(p)
+    for rec in intervals:
+        assert refine(rec.root_interval, PREC) == refine_isolated(
+            p, rec.root_interval, PREC)
+    assert len(intervals) >= 2
+    (lo, _), (_, hi) = intervals[0].root_interval, intervals[1].root_interval
+    top = intervals[-1].root_interval[1]
+    for bad in ((lo, hi), (top, top + 1)):
+        with pytest.raises(ValueError, match="exactly one root"):
+            refine(bad, PREC)
 
 
 def residual_ratio(fam, d_value, x_value, vec):

@@ -1,11 +1,12 @@
 import math
+import re
 from fractions import Fraction
 from itertools import islice
 
 import numpy as np
 import pytest
 
-from aqrm import sl2rep, spectrum
+from aqrm import gfunction, sl2rep, spectrum
 from aqrm.constraint import ConstraintFamily, constraint_poly
 from aqrm.gfunction import (
     ExceptionalRoot,
@@ -13,6 +14,7 @@ from aqrm.gfunction import (
     _scaled_constraint_magnitude,
     find_exceptional,
     g_minus,
+    g_pair,
     g_plus,
 )
 
@@ -118,6 +120,71 @@ def test_reflection_identity_bitwise():
         for g in np.linspace(0.05, 1.6, 10):
             for delta in (0.5, 1.0, 1.7, 2.5):
                 assert g_minus(N, g, delta).value == g_plus(N, g, -delta).value
+
+
+def test_pair_equals_one_parity_runs():
+    # one K recurrence for both parities changes neither: every field of
+    # each GValue equals that of its one-parity run. The last two points are
+    # roots of G+ and of G-, where that parity's |total| is small and the
+    # other parity stops 12 and 14 terms earlier
+    rng = np.random.default_rng(23)
+    points = [(int(rng.integers(1, 5)), float(rng.uniform(0, 3)),
+               float(rng.uniform(0.2, 3))) for _ in range(300)]
+    points += [(2, 1.3633023465398568, 1.5), (1, 1.7788301337248262, 2.5)]
+    for N, g, delta in points:
+        for tol in (1e-12, 1e-6):
+            pair = g_pair(N, g, delta, tol)
+            one = (g_plus(N, g, delta, tol), g_minus(N, g, delta, tol))
+            for got, want in zip(pair, one):
+                assert (got.value, got.n_stop, got.tail_bound,
+                        got.converged) == (want.value, want.n_stop,
+                                           want.tail_bound, want.converged)
+    plus, minus = g_pair(2, 1.3633023465398568, 1.5)
+    assert plus.n_stop - minus.n_stop == 12
+    plus, minus = g_pair(1, 1.7788301337248262, 2.5)
+    assert minus.n_stop - plus.n_stop == 14
+
+
+def test_pair_raises_as_one_parity_runs():
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        g_pair(0, 0.5, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        g_pair(1, 0.5, 1.0, tol=math.nan)
+    with pytest.raises(RuntimeError, match=r"\(g=15\.0 "):
+        g_pair(1, 15.0, 1.0)
+
+
+def test_scan_failure_names_first_plus_grid_coupling():
+    # a scan walks the plus grid, then the minus grid: its error names the
+    # first plus coupling that fails, as when each parity ran on its own
+    g_lo, g_hi = 0.1, 15.0
+    grid = [g_lo + (g_hi - g_lo) * i / 199 for i in range(200)]
+    first = None
+    for g in grid:
+        try:
+            g_plus(1, g, 1.0)
+        except RuntimeError:
+            first = g
+            break
+    assert first is not None
+    with pytest.raises(RuntimeError, match=re.escape(f"(g={first} ")):
+        find_exceptional(1, 1.0, (g_lo, g_hi))
+
+
+def test_scan_failure_order_when_minus_fails_first(monkeypatch):
+    # the minus grid failing at a smaller coupling than the plus grid still
+    # leaves the error to the plus grid
+    grid = [0.1 + 2.0 * i / 199 for i in range(200)]
+    real = gfunction._g_sum
+
+    def failing(N, g, delta, tol, sign, terms):
+        if g >= (grid[120] if sign > 0 else grid[30]):
+            return RuntimeError(f"sign {sign} at g={g}")
+        return real(N, g, delta, tol, sign, terms)
+
+    monkeypatch.setattr(gfunction, "_g_sum", failing)
+    with pytest.raises(RuntimeError, match=re.escape(f"sign 1 at g={grid[120]}")):
+        find_exceptional(2, 1.5, (0.1, 2.1))
 
 
 def test_no_common_zero_on_sample_grid():

@@ -160,6 +160,33 @@ def test_count_below_float_equals_one_lane_calls():
         # beyond -bound nothing is counted, beyond +bound everything
         assert lanes[-2] == lanes[-6] == lanes[-4] == 0
         assert lanes[-1] == lanes[-5] == lanes[-3] == 2 * (n_max + 1)
+    # the shape sweep passes: a (couplings x 2(n_max+1)) table with a g per
+    # row. The g = 0 rows shift onto the levels n +- 1, making the pivots
+    # singular; the others onto their own eigenvalues and the gaps between
+    # them, at a truncation past the 255 levels of one uint8 tally
+    n_max = 300
+    g_rows = np.array([0.0, 0.3, 0.0, 1.1, 2.4])
+    width = 2 * (n_max + 1)
+    table = np.empty((len(g_rows), width))
+    for row, g in zip(table, g_rows):
+        if g == 0.0:
+            row[:] = np.concatenate([np.arange(n_max + 1) - 1.0,
+                                     np.arange(n_max + 1) + 1.0])
+        else:
+            ev = eigenvalues(ModelParams(g, delta, eps), n_max)
+            row[:] = np.where(np.arange(width) % 2, ev,
+                              0.5 * (ev + np.roll(ev, 1)))
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        lanes = spectrum._count_below(g_rows[:, None], delta, eps, n_max,
+                                      table)
+        assert lanes.shape == table.shape and lanes.dtype == np.intp
+        for g, shifts, row in zip(g_rows.tolist(), table, lanes.tolist()):
+            one_row = spectrum._count_below(g, delta, eps, n_max, shifts)
+            assert one_row.tolist() == row
+            for shift, in_lanes in zip(shifts.tolist(), row):
+                got = spectrum._count_below_float(g, delta, eps, n_max, shift)
+                assert got == in_lanes, (g, shift)
 
 
 def test_convergence_flags_match_dense_rule():
