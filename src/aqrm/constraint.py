@@ -53,27 +53,72 @@ class ConstraintFamily:
         return Fraction(self.two_eps, 2)
 
 
+def _step_coeffs(N: int, two_eps_eff: int, k: int) -> tuple[int, int]:
+    """c_k = k^2 + k*two_eps_eff and e_k = k(k-1)(N-k+1), the constant and
+    back coefficients of step k of the recurrence, for every ring."""
+    return k * k + k * two_eps_eff, k * (k - 1) * (N - k + 1)
+
+
 def _poly_sequence(N: int, two_eps_eff: int, k_max: int,
                    ring: tuple | None = None, q: int = 1) -> Iterator:
     """Yield P_0..P_k_max by the three-term recurrence, keeping two terms.
 
-    P_0 = 1 and
-    P_k = [k x + d - k^2 - k*two_eps_eff] P_{k-1} - k(k-1)(N-k+1) x P_{k-2};
-    the tilde variant is this recurrence with two_eps_eff negated. Only
-    P_{k-1} and P_{k-2} are held while P_k is built, so a caller that wants
-    the last term does not keep the whole sequence. The terms are BivarPolys
-    unless ring = (one, x, d) says otherwise; with (1, q x, p) as UniPolys
-    and q scaling the constant and back terms, they are Q_k = q^k P_k(x, p/q),
-    the int polynomials at d = p/q.
+    P_0 = 1 and P_k = [k x + d - c_k] P_{k-1} - e_k x P_{k-2}, with c_k and
+    e_k from _step_coeffs; the tilde variant is this recurrence with
+    two_eps_eff negated. Only P_{k-1} and P_{k-2} are held while P_k is
+    built, so a caller that wants the last term does not keep the whole
+    sequence. The terms are BivarPolys unless ring = (one, x, d) says
+    otherwise; with (1, q x, p) as UniPolys and q scaling the constant and
+    back terms, they are Q_k = q^k P_k(x, p/q), the int polynomials at
+    d = p/q.
+
+    A BivarPoly term is built in one pass over the term maps of P_{k-1} and
+    P_{k-2} (_bivar_step): multiplying by x or by d shifts a key, c_k and e_k
+    scale a coefficient, and no intermediate polynomial is formed.
     """
-    one, x, d = ring or (BivarPoly.const(1), BivarPoly.x(), BivarPoly.d())
+    if ring is None:
+        prev2, prev = {}, {(0, 0): Fraction(1)}
+        yield BivarPoly._raw(prev)
+        for k in range(1, k_max + 1):
+            c, e = _step_coeffs(N, two_eps_eff, k)
+            prev2, prev = prev, _bivar_step(k, c, e, prev, prev2)
+            yield BivarPoly._raw(prev)
+        return
+    one, x, d = ring
     prev2, prev = 0 * one, one
     yield one
     for k in range(1, k_max + 1):
-        head = k * x + d - (q * (k * k + k * two_eps_eff)) * one
-        prev2, prev = prev, (head * prev
-                             - (q * k * (k - 1) * (N - k + 1)) * x * prev2)
+        c, e = _step_coeffs(N, two_eps_eff, k)
+        prev2, prev = prev, ((k * x + d - (q * c) * one) * prev
+                             - (q * e) * x * prev2)
         yield prev
+
+
+def _bivar_step(k: int, c: int, e: int, prev: dict, prev2: dict) -> dict:
+    """The term map of (k x + d - c) prev - e x prev2, zeros pruned.
+
+    prev and prev2 map (i, j) to the nonzero Fraction coefficient of
+    x^i d^j; k, c and e are ints, so every sum and product is a Fraction.
+    """
+    out: dict[tuple[int, int], Fraction] = {}
+    get = out.get
+    for (i, j), a in prev.items():
+        key = (i + 1, j)
+        s = get(key)
+        out[key] = a * k if s is None else s + a * k
+        key = (i, j + 1)
+        s = get(key)
+        out[key] = a if s is None else s + a
+        if c:
+            key = (i, j)
+            s = get(key)
+            out[key] = a * -c if s is None else s - a * c
+    if e:
+        for (i, j), b in prev2.items():
+            key = (i + 1, j)
+            s = get(key)
+            out[key] = b * -e if s is None else s - b * e
+    return {key: v for key, v in out.items() if v}
 
 
 def _effective_two_eps(fam: ConstraintFamily, k: int) -> int:
@@ -253,25 +298,30 @@ def verify_identity_half(N: int, fault_k: int | None = None) -> dict:
     For every k in 0..N the tilde polynomial at level N+1 factors through the
     plain one at level N:
         tilde P_{k+1}  ==  [(k+1) x + d] P_k  -  k(k+1)(N-k) x P_{k-1}.
+    The plain recurrence at 2 eps = 1 reads
+        P_{k+1}  ==  [(k+1) x + d - (k+1)(k+2)] P_k  -  k(k+1)(N-k) x P_{k-1},
+    so the identity is equivalent to
+        tilde P_{k+1}  ==  P_{k+1}  +  (k+1)(k+2) P_k,
+    which is the form checked: the plain sequence is walked to P_{N+1} in
+    step with the tilde one (at k = N its back coefficient (N-k) is 0), and
+    each k costs a scaled sum instead of a bivariate product.
     Returns a report dict; fault_k (used by the CLI self-test) perturbs one
     coefficient of the right side so the failure path is observable.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
-    x, d = BivarPoly.x(), BivarPoly.d()
-    plain = _poly_sequence(N, 1, N)
+    plain = _poly_sequence(N, 1, N + 1)
     tilde = _poly_sequence(N + 1, -1, N + 1)
     next(tilde)  # tilde P_0 = 1 pairs with no plain term
     failures = []
-    prev = BivarPoly.zero()  # P_{k-1}; its coefficient vanishes at k = 0
-    for k, (p_k, tilde_next) in enumerate(zip(plain, tilde)):
-        rhs = (((k + 1) * x + d) * p_k
-               - (k * (k + 1) * (N - k)) * x * prev)
+    p_k = next(plain)
+    for k, (p_next, tilde_next) in enumerate(zip(plain, tilde)):
+        rhs = p_next + ((k + 1) * (k + 2)) * p_k
         if fault_k is not None and k == fault_k:
-            rhs = rhs + x
+            rhs = rhs + BivarPoly.x()
         if tilde_next != rhs:
             failures.append(k)
-        prev = p_k
+        p_k = p_next
     return {"N": N, "checked": N + 1, "failures": failures,
             "ok": not failures}
 

@@ -87,24 +87,35 @@ def test_tridiag_examples():
     assert det == -D * constraint_poly(ConstraintFamily(2, 0), 2)
 
 
-def tridiag_det(spec):
-    """Determinant of a tridiagonal matrix by the continuant recurrence."""
+def tridiag_dets(spec):
+    """Leading principal minors of a tridiagonal matrix, by the continuant
+    recurrence on the generic BivarPoly ring operations."""
     det_prev, det = BivarPoly.const(1), spec.diag[0]
+    yield det
     for r in range(1, spec.size):
         det, det_prev = (spec.diag[r] * det
                          - spec.sup[r - 1] * spec.sub[r - 1] * det_prev), det
-    return det
+        yield det
 
 
 def test_continuant_matches_polynomial():
-    for N in range(1, 11):
-        for two_eps in (-2, 0, 1):
+    # an oracle for the one-pass recurrence step, which writes term maps
+    # itself and bypasses the ring operations the continuant uses; the
+    # matrix for k is the leading block of the one for N (its entries depend
+    # on the row alone), so one continuant gives the determinant for every k
+    for N in range(1, 15):
+        for two_eps in range(-3, 4):
             for variant in (PLAIN, TILDE):
                 fam = ConstraintFamily(N, two_eps, variant)
-                for k in range(N + 1):
-                    scale = BivarPoly.const((-1) ** k) * -D
-                    det = tridiag_det(tridiag_matrix(fam, k))
-                    assert det == scale * constraint_poly(fam, k)
+                full = tridiag_matrix(fam, N)
+                spec = tridiag_matrix(fam, N - 1)
+                assert (spec.diag, spec.sup, spec.sub) == (
+                    full.diag[:N], full.sup[:N - 1], full.sub[:N - 1])
+                for k, det in enumerate(tridiag_dets(full)):
+                    p = constraint_poly(fam, k)
+                    assert all(type(c) is Fraction and c
+                               for c in p.terms.values()), (fam, k)
+                    assert det == (-1) ** k * -D * p, (fam, k)
 
 
 def test_constraint_poly_at_is_scaled_specialization():
@@ -306,6 +317,40 @@ def test_verify_identity_fault_injection():
             assert report["checked"] == N + 1
 
 
+def test_ladder_form_of_the_half_identity():
+    # verify_identity_half checks tilde P_{k+1} = P_{k+1} + (k+1)(k+2) P_k;
+    # the paper's form, rebuilt here with the generic ring operations
+    for N in range(1, 17):
+        plain = ConstraintFamily(N, 1, PLAIN)
+        tilde = ConstraintFamily(N + 1, 1, TILDE)
+        prev = BivarPoly.zero()
+        for k in range(N + 1):
+            p_k = constraint_poly(plain, k)
+            ladder = (((k + 1) * X + D) * p_k
+                      - (k * (k + 1) * (N - k)) * X * prev)
+            assert constraint_poly(tilde, k + 1) == ladder, (N, k)
+            prev = p_k
+
+
+def test_verify_identity_catches_a_wrong_tilde_back_coefficient(monkeypatch):
+    # the tilde walk of verify_identity_half runs at level N+1, back
+    # coefficient k(k-1)(N-k+2); with (N-k+1) in its place every tilde term
+    # from k = 2 on is wrong, and each must be reported
+    step = constraint._step_coeffs
+
+    def wrong_tilde(level, two_eps_eff, k):
+        c, e = step(level, two_eps_eff, k)
+        if two_eps_eff == -1:
+            e = k * (k - 1) * (level - k)
+        return c, e
+
+    monkeypatch.setattr(constraint, "_step_coeffs", wrong_tilde)
+    for N in (1, 2, 5, 12):
+        report = verify_identity_half(N)
+        assert not report["ok"], N
+        assert report["failures"] == list(range(1, N + 1)), N
+
+
 def test_verify_conjecture_ell_examples():
     report = verify_conjecture(3, 0)
     assert report["ok"] and report["quotient"] == BivarPoly.const(1)
@@ -325,6 +370,26 @@ def test_verify_conjecture_validation():
         verify_conjecture(0, 1)
     with pytest.raises(ValueError):
         verify_conjecture(2, -1)
+
+
+def test_reflection_eps_to_minus_eps_in_the_constraint_layer():
+    # the plain P_{N+ell} at 2 eps = -ell has the positive roots of P_N at
+    # 2 eps = +ell, with the same eigenvalue N - g^2 + ell/2; lambda comes
+    # from a different N, so it may differ in the last bits
+    rng = random.Random(1414)
+    roots = 0
+    for N in range(1, 13):
+        for ell in range(1, 5):
+            for _ in range(4):
+                d = Fraction(rng.randint(1, 240), rng.randint(1, 7))
+                want = find_crossings(N, ell, d, PREC)
+                got = find_crossings(N + ell, -ell, d, PREC)
+                assert ([r.root_interval for r in got]
+                        == [r.root_interval for r in want]), (N, ell, d)
+                for a, b in zip(got, want):
+                    assert abs(a.lambda_ - b.lambda_) <= 1e-14, (N, ell, d)
+                roots += len(want)
+    assert roots > 500
 
 
 def test_root_count_window_sampling():
