@@ -25,7 +25,6 @@ from .exactpoly import (
     UniPoly,
     isolate_positive_roots,
     poly_div_x,
-    refine_isolated,
     to_fraction,
 )
 from .gfunction import (ExceptionalRoot, GValue, find_exceptional, g_minus,
@@ -53,7 +52,6 @@ _SPECTRUM_NAMES = (
     "ModelParams",
     "SpectralSweep",
     "build_hamiltonian",
-    "confirm_crossing",
     "confirm_crossings",
     "sweep",
 )

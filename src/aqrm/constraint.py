@@ -359,9 +359,9 @@ def verify_conjecture(N: int, ell: int) -> dict:
 
 
 def crossing_refiner(precision) -> Callable[[CrossingRecord], CrossingRecord]:
-    """refine_crossing at one precision, for many records: P_N at d and its
-    square-free part are built once for each (N, 2 eps, d) the records
-    share, and go with the returned function."""
+    """A function that returns a record with its root interval shrunk to
+    width <= precision. P_N at d and its square-free part are built once for
+    each (N, 2 eps, d) the records share, and go with the function."""
     refiners = {}
 
     def refine(rec: CrossingRecord) -> CrossingRecord:
@@ -376,8 +376,3 @@ def crossing_refiner(precision) -> Callable[[CrossingRecord], CrossingRecord]:
                               rep_pair=rec.rep_pair)
 
     return refine
-
-
-def refine_crossing(rec: CrossingRecord, precision) -> CrossingRecord:
-    """Return the record with its root interval shrunk to width <= precision."""
-    return crossing_refiner(precision)(rec)

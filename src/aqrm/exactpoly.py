@@ -576,10 +576,11 @@ def _refine(q: list[int], lo: Fraction, hi: Fraction,
 
 
 def root_refiner(p: UniPoly) -> Callable[..., tuple[Fraction, Fraction]]:
-    """refine_isolated(p, interval, precision) as a function of interval and
-    precision, for shrinking many intervals of one p: the square-free part
-    of p is built on the first call that needs it and kept for the rest.
-    Every interval gets refine_isolated's check that it holds one root."""
+    """A function refine(interval, precision) that shrinks an isolating
+    interval of p (half-open, exactly one root) to width <= precision. It
+    raises ValueError unless the interval holds exactly one root. The
+    square-free part of p is built on the first call that needs it and kept
+    for the rest, so many intervals of one p share it."""
     s: list[int] | None = None
 
     def refine(interval: tuple, precision) -> tuple[Fraction, Fraction]:
@@ -602,8 +603,3 @@ def root_refiner(p: UniPoly) -> Callable[..., tuple[Fraction, Fraction]]:
         return _refine(q, lo, hi, precision)
 
     return refine
-
-
-def refine_isolated(p: UniPoly, interval: tuple, precision) -> tuple[Fraction, Fraction]:
-    """Shrink an isolating interval (half-open, exactly one root) to width <= precision."""
-    return root_refiner(p)(interval, precision)

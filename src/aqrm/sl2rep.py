@@ -7,8 +7,8 @@ sum_s c_s(n) e_{n+s}, and each c_s is an exact polynomial in the weight n.
 The generators are single shifts with coefficients affine in n, and sums and
 products stay in this form. Every report here is therefore an identity in n
 that holds for every weight: commutation relations, Casimir scalar, mixed
-commutator, the intertwiner between a and 2 - a, finite-block closure. The
-window in RepParams only shapes the matrix view. The weight n stands for the
+commutator, the intertwiner between a and 2 - a, finite-block closure. No
+operator or check reads the window in RepParams. The weight n stands for the
 monomial degree m = n - (a - o)/2, o = j - 1 (degree_offset), in the K-block
 rows here and in heun.reduction_check.
 
@@ -33,7 +33,8 @@ GENERATORS = ("H", "E", "F")
 
 @dataclass(frozen=True)
 class RepParams:
-    """Principal-series label (j, a) plus the weight window the matrix views show."""
+    """Principal-series label (j, a) plus a weight window, which
+    eigenproblem_window sets to the rows of its block."""
 
     j: int
     a: Fraction
@@ -93,12 +94,6 @@ class RepOperator:
         """Matrix entry addressed by weight indices."""
         p = self.terms.get(n_row - n_col)
         return Fraction(0) if p is None else p(n_col)
-
-    @property
-    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The window block, rows and columns in increasing weight."""
-        w = range(self.params.n_min, self.params.n_max + 1)
-        return tuple(tuple(self.entry(r, c) for c in w) for r in w)
 
 
 def identity_op(params: RepParams, c=1) -> RepOperator:

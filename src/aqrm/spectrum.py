@@ -351,13 +351,3 @@ def confirm_crossings(records, n_max: int = DEFAULT_NMAX
         except ValueError as exc:
             results.append(exc)
     return results
-
-
-def confirm_crossing(record: CrossingRecord,
-                     n_max: int = DEFAULT_NMAX) -> CrossingObservation:
-    """confirm_crossings for one record: its observation, or its ValueError
-    raised."""
-    (result,) = confirm_crossings([record], n_max)
-    if isinstance(result, ValueError):
-        raise result
-    return result

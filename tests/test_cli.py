@@ -485,8 +485,8 @@ for argv in json.loads(sys.argv[1]):
         assert main(argv) == 0, argv
 assert "numpy" not in sys.modules, "an exact-only subcommand loaded numpy"
 import aqrm
-from aqrm import ModelParams, confirm_crossing, sweep
-assert {"ModelParams", "confirm_crossing", "sweep"} <= set(aqrm.__all__)
+from aqrm import ModelParams, confirm_crossings, sweep
+assert {"ModelParams", "confirm_crossings", "sweep"} <= set(aqrm.__all__)
 assert sweep is aqrm.spectrum.sweep
 """
 

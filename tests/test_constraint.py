@@ -16,7 +16,6 @@ from aqrm.constraint import (
     crossing_refiner,
     find_crossings,
     kernel_vector,
-    refine_crossing,
     rep_pair_labels,
     tridiag_matrix,
     verify_conjecture,
@@ -24,7 +23,7 @@ from aqrm.constraint import (
 )
 from aqrm.cli import main
 from aqrm import constraint
-from aqrm.exactpoly import BivarPoly, refine_isolated, root_refiner
+from aqrm.exactpoly import BivarPoly, root_refiner
 
 X, D = BivarPoly.x(), BivarPoly.d()
 PREC = Fraction(1, 10**12)
@@ -182,7 +181,7 @@ def test_crossing_record_json_schema(capsys):
 
 def test_refine_crossing_shrinks_interval():
     rec = find_crossings(2, 1, Fraction(1, 4), Fraction(1, 4))[0]
-    fine = refine_crossing(rec, Fraction(1, 10**15))
+    fine = crossing_refiner(Fraction(1, 10**15))(rec)
     lo, hi = fine.root_interval
     assert hi - lo <= Fraction(1, 10**15)
     assert fine.rep_pair == rec.rep_pair
@@ -190,12 +189,12 @@ def test_refine_crossing_shrinks_interval():
 
 def test_crossing_refiner_builds_each_polynomial_once(monkeypatch):
     # one refiner serves records of two polynomials, interleaved: each
-    # polynomial is built once, and every record comes out as
-    # refine_crossing leaves it
+    # polynomial is built once, and every record comes out as a fresh
+    # refiner of its own leaves it
     recs = (find_crossings(12, 1, Fraction(7, 3), Fraction(1, 100))
             + find_crossings(9, 0, Fraction(5, 2), Fraction(1, 100)))
     recs = recs[::2] + recs[1::2]
-    want = [refine_crossing(rec, PREC) for rec in recs]
+    want = [crossing_refiner(PREC)(rec) for rec in recs]
     built = []
     real = constraint.constraint_poly_at
 
@@ -216,8 +215,8 @@ def test_root_refiner_checks_every_interval():
     intervals = find_crossings(6, 0, Fraction(1, 3), Fraction(1, 100))
     refine = root_refiner(p)
     for rec in intervals:
-        assert refine(rec.root_interval, PREC) == refine_isolated(
-            p, rec.root_interval, PREC)
+        assert refine(rec.root_interval, PREC) == root_refiner(p)(
+            rec.root_interval, PREC)
     assert len(intervals) >= 2
     (lo, _), (_, hi) = intervals[0].root_interval, intervals[1].root_interval
     top = intervals[-1].root_interval[1]
@@ -250,7 +249,7 @@ def test_kernel_vector_refined_root_and_two_sided_agreement():
     d = Fraction(1, 4)
     for rec in find_crossings(2, 1, d, Fraction(1, 4)):
         p = constraint_poly(ConstraintFamily(2, 1), 2).specialize(d)
-        lo, hi = refine_isolated(p, rec.root_interval, Fraction(1, 10**12))
+        lo, hi = root_refiner(p)(rec.root_interval, Fraction(1, 10**12))
         x = float((lo + hi) / 2)
         fam = ConstraintFamily(2, 1)
         assert residual_ratio(fam, d, x, kernel_vector(fam, d, x)) < 1e-8
@@ -375,12 +374,13 @@ def test_verify_conjecture_validation():
 def test_reflection_eps_to_minus_eps_in_the_constraint_layer():
     # the plain P_{N+ell} at 2 eps = -ell has the positive roots of P_N at
     # 2 eps = +ell, with the same eigenvalue N - g^2 + ell/2; lambda comes
-    # from a different N, so it may differ in the last bits
+    # from a different N, so it may differ in the last bits. Four d per
+    # (N, ell) up to N = 12, one above
     rng = random.Random(1414)
     roots = 0
-    for N in range(1, 13):
+    for N in range(1, 21):
         for ell in range(1, 5):
-            for _ in range(4):
+            for _ in range(4 if N <= 12 else 1):
                 d = Fraction(rng.randint(1, 240), rng.randint(1, 7))
                 want = find_crossings(N, ell, d, PREC)
                 got = find_crossings(N + ell, -ell, d, PREC)
@@ -389,7 +389,7 @@ def test_reflection_eps_to_minus_eps_in_the_constraint_layer():
                 for a, b in zip(got, want):
                     assert abs(a.lambda_ - b.lambda_) <= 1e-14, (N, ell, d)
                 roots += len(want)
-    assert roots > 500
+    assert roots > 900
 
 
 def test_root_count_window_sampling():

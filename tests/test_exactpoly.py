@@ -13,7 +13,7 @@ from aqrm.exactpoly import (
     _root_bound,
     isolate_positive_roots,
     poly_div_x,
-    refine_isolated,
+    root_refiner,
     to_fraction,
 )
 
@@ -296,7 +296,7 @@ def test_isolation_matches_sympy_count():
 def test_refine_isolated_shrinks():
     p = UniPoly([-2, 0, 1])  # t^2 - 2
     ivs = isolate_positive_roots(p, Fraction(1, 4))
-    lo, hi = refine_isolated(p, ivs[0], Fraction(1, 10**15))
+    lo, hi = root_refiner(p)(ivs[0], Fraction(1, 10**15))
     assert hi - lo <= Fraction(1, 10**15)
     assert p(lo) * p(hi) <= 0
 
@@ -392,8 +392,9 @@ def test_isolation_edge_cases_follow_plain_bisection():
     root = Fraction(303, 1024)
     p = UniPoly([-root, 1]) * UniPoly([100, 0, 1])
     check(p, PREC, [(root, root)])
-    assert refine_isolated(p, (0, 1), PREC) == (root, root)
-    assert refine_isolated(p, (0, root), PREC) == (
+    refine = root_refiner(p)
+    assert refine((0, 1), PREC) == (root, root)
+    assert refine((0, root), PREC) == (
         Fraction(166576011607761, 562949953421312), root)
 
 
@@ -408,21 +409,22 @@ def test_isolation_contract_on_constraint_polynomials(N, two_eps):
 
 def test_refine_isolated_half_open_contract():
     p = UniPoly([3, -4, 1])  # (t-1)(t-3)
+    refine = root_refiner(p)
     # a root at hi lies in (lo, hi]; a root at lo does not
-    assert refine_isolated(p, (0, 1), Fraction(1, 1000)) == (Fraction(1023, 1024), 1)
-    assert refine_isolated(p, (1, 3), Fraction(1, 1000)) == (Fraction(3071, 1024), 3)
+    assert refine((0, 1), Fraction(1, 1000)) == (Fraction(1023, 1024), 1)
+    assert refine((1, 3), Fraction(1, 1000)) == (Fraction(3071, 1024), 3)
     for interval in ((0, 4), (1, 2), (3, 4), (3, 1)):
         with pytest.raises(ValueError):
-            refine_isolated(p, interval, Fraction(1, 1000))
+            refine(interval, Fraction(1, 1000))
     # a degenerate interval is accepted only at an exact root
-    assert refine_isolated(p, (3, 3), Fraction(1, 1000)) == (3, 3)
+    assert refine((3, 3), Fraction(1, 1000)) == (3, 3)
     q = UniPoly([-2, 0, 1])  # t^2 - 2
     for poly, interval in ((q, (5, 5)), (q, (5, 6)), (UniPoly([]), (0, 0))):
         with pytest.raises(ValueError):
-            refine_isolated(poly, interval, Fraction(1, 10))
+            root_refiner(poly)(interval, Fraction(1, 10))
     # a width that bisection can never reach is refused, not looped on
     for precision in (0, Fraction(-1, 10)):
         with pytest.raises(ValueError):
-            refine_isolated(q, (1, 2), precision)
+            root_refiner(q)((1, 2), precision)
     # a midpoint that is the root collapses the interval onto it
-    assert refine_isolated(p, (0, 2), Fraction(1, 1000)) == (1, 1)
+    assert refine((0, 2), Fraction(1, 1000)) == (1, 1)

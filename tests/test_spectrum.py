@@ -13,7 +13,6 @@ from aqrm.spectrum import (
     ModelParams,
     _converged,
     build_hamiltonian,
-    confirm_crossing,
     confirm_crossings,
     eigenvalues,
     sweep,
@@ -211,9 +210,23 @@ def test_parity_and_asymmetry_reflections():
     assert np.max(np.abs(ev_p - ev_m)) < 1e-9
 
 
+def test_sweep_reflection_eps_to_minus_eps():
+    # H(eps) and H(-eps) are unitarily equivalent (sigma_z together with the
+    # parity a -> -a), so both sweeps flag the same levels as converged, and
+    # those agree to rounding
+    grid = np.linspace(0.1, 1.6, 11)
+    for eps in (0.37, 0.5, 1.5):
+        plus = sweep(1.3, eps, grid, n_max=120)
+        minus = sweep(1.3, -eps, grid, n_max=120)
+        assert np.array_equal(plus.converged, minus.converged), eps
+        both = plus.converged
+        assert both.sum() > 2000, eps
+        assert np.max(np.abs(plus.table - minus.table)[both]) <= 1e-12, eps
+
+
 def test_confirm_judd_point():
     rec = find_crossings(1, 0, Fraction(1, 2), PREC)[0]
-    obs = confirm_crossing(rec)
+    (obs,) = confirm_crossings([rec])
     assert isinstance(obs, CrossingObservation)
     assert obs.gap < 1e-7
     assert obs.lambda_star == pytest.approx(0.875, abs=1e-7)
@@ -221,8 +234,8 @@ def test_confirm_judd_point():
 
 
 def test_confirm_asymmetric_crossings():
-    for rec in find_crossings(2, 1, Fraction(1, 4), PREC):
-        obs = confirm_crossing(rec)
+    records = find_crossings(2, 1, Fraction(1, 4), PREC)
+    for rec, obs in zip(records, confirm_crossings(records)):
         assert obs.gap < 1e-7
         assert obs.lambda_star == pytest.approx(rec.lambda_, abs=1e-7)
 
@@ -262,7 +275,7 @@ def test_confirm_solves_once_at_derived_truncation(monkeypatch):
         rec = find_crossings(N, two_eps, Fraction(1, 2), PREC)[-1]
         for n_max, want in ((60, n), (200, 200)):
             log.clear()
-            assert confirm_crossing(rec, n_max=n_max).gap < 1e-7
+            assert confirm_crossings([rec], n_max=n_max)[0].gap < 1e-7
             # one count per level of the pair
             assert log == [("solve", want)] + [("count", want + 20)] * 2
 
@@ -270,16 +283,16 @@ def test_confirm_solves_once_at_derived_truncation(monkeypatch):
 def test_confirm_failure_names_its_cause(monkeypatch, capsys):
     rec = find_crossings(1, 0, Fraction(1, 2), PREC)[0]
     with pytest.raises(ValueError, match="n_max must be >= 1"):
-        confirm_crossing(rec, n_max=0)
+        confirm_crossings([rec], n_max=0)
     count_below_float = spectrum._count_below_float
 
     def one_level_fell(g, delta, eps, n_max, shift):
         return count_below_float(g, delta, eps, n_max, shift) + 1
 
     monkeypatch.setattr(spectrum, "_count_below_float", one_level_fell)
-    with pytest.raises(ValueError) as info:
-        confirm_crossing(rec)
-    assert str(info.value) == (
+    (err,) = confirm_crossings([rec])
+    assert isinstance(err, ValueError)
+    assert str(err) == (
         f"truncation n_max=60 too small at lambda={rec.lambda_}")
     assert main(["crossings", "--N", "1", "--delta2", "1/2",
                  "--confirm"]) == 2
@@ -300,13 +313,13 @@ def _perturbed(rec: CrossingRecord) -> CrossingRecord:
 def test_confirm_rejects_perturbed_root(monkeypatch):
     log = logged_truncations(monkeypatch)
     fake = _perturbed(find_crossings(1, 0, Fraction(1, 2), PREC)[0])
-    with pytest.raises(ValueError) as info:
-        confirm_crossing(fake)
+    (err,) = confirm_crossings([fake])
+    assert isinstance(err, ValueError)
     # the pair has converged, so the cause is a miss, found in one solve
-    assert str(info.value).startswith(
+    assert str(err).startswith(
         f"no degenerate pair at lambda={fake.lambda_}: nearest eigenvalues "
         "miss by ")
-    assert str(info.value).endswith(" at n_max=60")
+    assert str(err).endswith(" at n_max=60")
     assert log == [("solve", 60), ("count", 80), ("count", 80)]
     # the avoided crossing at the perturbed point is wide open
     g = fake.g
@@ -349,11 +362,10 @@ def test_confirm_batch_matches_one_record_calls(monkeypatch):
         assert log == expected
         failures = []
         for rec, got in zip(records, batch):
-            try:
-                want = confirm_crossing(rec, n_max=n_max)
-            except ValueError as exc:
-                assert isinstance(got, ValueError)
-                assert str(got) == str(exc)
+            (want,) = confirm_crossings([rec], n_max=n_max)
+            assert type(got) is type(want)
+            if isinstance(want, ValueError):
+                assert str(got) == str(want)
                 failures.append(str(got))
             else:
                 # repr spells every float exactly
