@@ -6,6 +6,7 @@ associated confluent second-order operators, series for the non-degenerate
 exceptional eigenvalues, and brute-force diagonalization to check it all.
 """
 
+from .confirm import CrossingObservation, confirm_crossings
 from .constraint import (
     ConstraintFamily,
     CrossingRecord,
@@ -45,14 +46,12 @@ from .sl2rep import (
 
 __version__ = "0.1.0"
 
-#: served from the floating-point layer on first access (PEP 562), so that
-#: importing the package, or any exact layer, does not load numpy
+#: the numpy-backed names of spectrum, served on first access (PEP 562), so
+#: that importing the package, any exact layer or confirm does not load numpy
 _SPECTRUM_NAMES = (
-    "CrossingObservation",
     "ModelParams",
     "SpectralSweep",
     "build_hamiltonian",
-    "confirm_crossings",
     "sweep",
 )
 

@@ -3,9 +3,11 @@
 Every computation and verification in the library is exposed as a
 subcommand emitting machine-readable output (JSON or CSV). Exit codes:
 0 success/verified, 2 verification failure, 1 usage error. Rational flags
-accept "p/q" strings so exact code paths never round. Only the commands that
-diagonalize (crossings --confirm, sweep) load numpy, and only they read
-AQRM_NMAX, the default Fock cutoff when --n-max is not given.
+accept "p/q" strings so exact code paths never round. Only sweep, which
+diagonalizes, loads numpy; crossings --confirm counts and solves on the
+block-tridiagonal Hamiltonian in Python floats, so its output does not
+depend on the BLAS thread count. Only these two read AQRM_NMAX, the default
+Fock cutoff when --n-max is not given.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ import random
 import sys
 from fractions import Fraction
 
-from . import constraint, gfunction, heun, sl2rep
+from . import confirm, constraint, gfunction, heun, sl2rep
 from .exactpoly import isolate_positive_roots, to_fraction
 
 DEFAULT_PRECISION = Fraction(1, 10**12)
@@ -37,18 +39,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _n_max(args) -> int:
-    """Fock cutoff: --n-max, else AQRM_NMAX, else spectrum.DEFAULT_NMAX.
+    """Fock cutoff: --n-max, else AQRM_NMAX, else confirm.DEFAULT_NMAX.
 
     Checked here, before any work is done, so a cutoff below 1 is a usage
-    error for every diagonalizing command.
+    error for sweep and crossings --confirm alike.
     """
     n_max = args.n_max
     if n_max is None:
         raw = os.environ.get("AQRM_NMAX")
         if raw is None:
-            from .spectrum import DEFAULT_NMAX
-
-            return DEFAULT_NMAX
+            return confirm.DEFAULT_NMAX
         try:
             n_max = int(raw)
         except ValueError:
@@ -113,14 +113,11 @@ def _cmd_roots(args) -> int:
 
 def _cmd_crossings(args) -> int:
     if args.confirm:
-        from . import spectrum
-
         n_max = _n_max(args)
     records = constraint.find_crossings(args.N, args.two_eps, args.delta2,
                                         args.precision)
     if args.confirm:
-        # one solve per record, and a float count per level of its pair
-        confirmed = spectrum.confirm_crossings(records, n_max=n_max)
+        confirmed = confirm.confirm_crossings(records, n_max=n_max)
     payload, code = [], EXIT_OK
     for k, rec in enumerate(records):
         lo, hi = rec.root_interval

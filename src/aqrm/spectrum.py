@@ -8,41 +8,25 @@ matrix whose low eigenvalues converge rapidly in n_max.
 
 Grouped by Fock level instead, the same matrix is block tridiagonal: level
 n is the 2x2 block [[n + eps, Delta], [Delta, n - eps]], and levels n - 1
-and n are coupled by g sqrt(n) diag(1, -1). Convergence flags, for sweeps
-and confirmed crossings, count eigenvalues of the larger truncation below
-a shift in O(n_max) steps with that structure instead of diagonalizing it.
-The count is written twice, once per traffic: in numpy for a sweep, which
-makes one count for its whole table, and in Python floats for
-confirm_crossings, which counts each level of a confirmed pair alone, where
-numpy's per-call cost would outweigh the arithmetic on so few shifts. The
-two give the same count bit for bit.
+and n are coupled by g sqrt(n) diag(1, -1). A sweep's convergence flags
+count eigenvalues of the larger truncation below a shift in O(n_max) steps
+with that structure instead of diagonalizing it. The count lives in two
+places, one per traffic: _count_below here, in numpy, makes one count for a
+sweep's whole table; confirm._count_below_float, in Python floats, counts
+the four shifts of each confirmed crossing, where numpy's per-call cost
+would outweigh the arithmetic. The two give the same count bit for bit.
+Crossing confirmation needs no dense solve and lives in confirm, without
+numpy; this module takes its tolerances from there.
 """
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .constraint import CrossingRecord, crossing_refiner
-
-DEFAULT_NMAX = 60
-
-#: an eigenvalue is converged when growing the truncation by this margin
-#: moves it by less than CONV_TOL
-CONV_MARGIN = 20
-CONV_TOL = 1e-9
-
-#: a level pair closer than this counts as a degeneracy
-DEGENERACY_TOL = 1e-7
-#: confirm_crossings first refines a record wider in x than REFINE_WIDTH,
-#: DEGENERACY_TOL times CONFIRM_WIDTH; the level gap grows about linearly
-#: with the width (about 1 per unit of x at N=12), and records at the CLI
-#: default width 1e-12 are never refined
-CONFIRM_WIDTH = Fraction(1, 1000)
-REFINE_WIDTH = Fraction(DEGENERACY_TOL) * CONFIRM_WIDTH
+from .confirm import (CONV_MARGIN, CONV_TOL, DEFAULT_NMAX, DEGENERACY_TOL,
+                      CrossingObservation)
 
 
 @dataclass(frozen=True)
@@ -99,31 +83,15 @@ def build_hamiltonian(params: ModelParams, n_max: int) -> np.ndarray:
     return h
 
 
-def eigenvalues(params: ModelParams, n_max: int) -> np.ndarray:
-    """Ascending eigenvalues of the truncated Hamiltonian.
-
-    numpy's eigvalsh can differ in the last digit with the BLAS thread
-    count, so the values are bit for bit reproducible only at a fixed
-    count (OPENBLAS_NUM_THREADS=1, say).
-    """
-    return np.linalg.eigvalsh(build_hamiltonian(params, n_max))
-
-
 def _count_below(g, delta: float, eps: float, n_max: int,
                  shifts) -> np.ndarray:
     """Number of eigenvalues of the truncation at n_max below each shift,
     elementwise over shifts, with g broadcast against them, so that a sweep
     makes one count for its whole table.
 
-    By Sylvester's law of inertia this is the number of negative eigenvalues
-    of the pivot blocks of the block LDL^T factorization of H - s:
-    D_0 = [[eps - s, Delta], [Delta, -eps - s]] and
-    D_n = [[n + eps - s, Delta], [Delta, n - eps - s]] - g^2 n S D_{n-1}^-1 S
-    with S = diag(1, -1). As LAPACK's dstebz replaces a pivot below pivmin,
-    a block whose determinant is below pivmin = (rho/2)^2 in modulus is moved
-    rho away from singular, rho being machine epsilon times a Gershgorin
-    bound: the count is then that of a matrix within rho of H, and no
-    determinant the recurrence divides by is zero.
+    The recurrence of confirm._pivots, which derives it, over numpy lanes:
+    the same pivot blocks, bound, rho, pivmin and near-singular step, so
+    each lane equals confirm._count_below_float bit for bit.
     """
     g2 = np.square(g)
     bound = n_max + abs(eps) + abs(delta) + 2 * np.sqrt(g2 * n_max) + 1
@@ -180,35 +148,6 @@ def _count_below(g, delta: float, eps: float, n_max: int,
     return n_max + 1 - total[0] + 2 * total[1]
 
 
-def _count_below_float(g: float, delta: float, eps: float, n_max: int,
-                       shift: float) -> int:
-    """_count_below for one shift, in Python floats: the same recurrence,
-    bound, rho, pivmin and near-singular step, so the count equals that of
-    a one-shift _count_below call bit for bit. Confirming a pair counts two
-    shifts, where numpy's per-call cost would outweigh the arithmetic."""
-    g2 = g * g
-    bound = n_max + abs(eps) + abs(delta) + 2 * math.sqrt(g2 * n_max) + 1
-    s = min(max(shift, -bound), bound)
-    rho = sys.float_info.epsilon * bound
-    pivmin = 0.25 * rho * rho
-    a0, c0 = eps - s, -eps - s
-    a, b, c = a0, delta, c0
-    balance = 0.0
-    for n in range(n_max + 1):
-        if n:
-            inv = g2 * n / det
-            a, b, c = (a0 + n) - inv * c, delta - inv * b, (c0 + n) - inv * a
-        det = a * c - b * b
-        if abs(det) < pivmin:
-            trace = a + c
-            step = math.copysign(rho, trace)
-            det = det + step * (trace + step)
-            a, c = a + step, c + step
-        if det > 0:
-            balance += math.copysign(1.0, a)
-    return n_max + 1 - int(balance)
-
-
 def _converged(g, delta: float, eps: float, n_max: int, ev,
                k) -> np.ndarray:
     """Whether level k, at ev in the spectrum at n_max, moves by less than
@@ -218,21 +157,11 @@ def _converged(g, delta: float, eps: float, n_max: int, ev,
     H at n_max is a principal submatrix of H at n_max + CONV_MARGIN, so by
     Cauchy interlacing a level only falls as the truncation grows. It moves
     by less than CONV_TOL exactly when the larger truncation has at most k
-    eigenvalues below ev - CONV_TOL. _confirm applies the same rule to a
-    confirmed pair, one level at a time, with _count_below_float.
+    eigenvalues below ev - CONV_TOL. confirm_crossings applies the same
+    rule to a confirmed pair, one level at a time, with _count_below_float.
     """
     return _count_below(g, delta, eps, n_max + CONV_MARGIN,
                         ev - CONV_TOL) <= k
-
-
-@dataclass(frozen=True)
-class CrossingObservation:
-    """A numerically confirmed true degeneracy at coupling g_star."""
-
-    g_star: float
-    lambda_star: float
-    gap: float
-    indices: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -252,8 +181,10 @@ def sweep(delta: float, eps: float, g_grid,
 
     One matrix serves the whole sweep: its g-independent part is built once,
     and each g rewrites only the hops before the solve. Each row equals
-    eigenvalues(ModelParams(g, delta, eps), n_max) bit for bit, and like it
-    is reproducible only at a fixed BLAS thread count.
+    np.linalg.eigvalsh(build_hamiltonian(ModelParams(g, delta, eps), n_max))
+    bit for bit, and like numpy's eigvalsh, which can differ in the last
+    digit with the BLAS thread count, it is reproducible only at a fixed
+    count (OPENBLAS_NUM_THREADS=1, say).
     """
     grid = tuple(float(g) for g in g_grid)
     if not grid:
@@ -283,71 +214,3 @@ def sweep(delta: float, eps: float, g_grid,
     return SpectralSweep(delta=delta, eps=eps, n_max=n_max, g_grid=grid,
                          table=table, converged=converged,
                          crossings=tuple(found))
-
-
-def _confirm(record: CrossingRecord, n_max: int,
-             refine) -> CrossingObservation:
-    """Confirm one record, or raise the ValueError that names its failure:
-    refine the record if it is wider than REFINE_WIDTH, solve once at its
-    derived truncation n, pick the two levels nearest its lambda and count
-    each at n + CONV_MARGIN by the rule of _converged."""
-    lo, hi = record.root_interval
-    if hi - lo > REFINE_WIDTH:
-        record = refine(record)
-    g_star = record.g
-    target = record.lambda_
-    params = ModelParams(g=g_star, delta=math.sqrt(float(record.d_value)),
-                         eps=record.two_eps / 2.0)
-    # a level at lambda is a Fock state of lambda + g^2 photons displaced by
-    # g: it reaches (sqrt(lambda + g^2) + g)^2 <= 2 (lambda + 2 g^2) photons,
-    # and the slope 2.5 and 20 more levels hold the tail beyond that
-    n = max(n_max, math.ceil(2.5 * (record.N + params.eps + g_star**2) + 20))
-    ev = eigenvalues(params, n)
-    order = np.argsort(np.abs(ev - target))
-    i, j = sorted((int(order[0]), int(order[1])))
-    ev_i, ev_j = float(ev[i]), float(ev[j])
-    for k, level in ((i, ev_i), (j, ev_j)):
-        if _count_below_float(g_star, params.delta, params.eps,
-                              n + CONV_MARGIN, level - CONV_TOL) > k:
-            raise ValueError(
-                f"truncation n_max={n} too small at lambda={target}")
-    err_i = abs(ev_i - target)
-    err_j = abs(ev_j - target)
-    gap = abs(ev_j - ev_i)
-    if max(err_i, err_j, gap) > DEGENERACY_TOL:
-        raise ValueError(
-            f"no degenerate pair at lambda={target}: nearest eigenvalues miss "
-            f"by ({err_i:.3e}, {err_j:.3e}) with gap {gap:.3e} at n_max={n}")
-    return CrossingObservation(g_star=g_star, lambda_star=0.5 * (ev_i + ev_j),
-                               gap=gap, indices=(i, j))
-
-
-def confirm_crossings(records, n_max: int = DEFAULT_NMAX
-                      ) -> list[CrossingObservation | ValueError]:
-    """Check predicted exact crossings against direct diagonalization.
-
-    Each record pins lambda = N - g^2 + eps at g derived from the isolated
-    root of the constraint polynomial; the truncated spectrum must contain
-    two eigenvalues within DEGENERACY_TOL of that target and of each other.
-    A record too wide for DEGENERACY_TOL is refined first. One solve at
-    n = max(n_max, ceil(2.5 (lambda + 2 g^2) + 20)) must give a pair that
-    moves by less than CONV_TOL at n + CONV_MARGIN, else the record fails
-    with a "truncation"; a converged pair off the target is a "miss".
-    Each level of the pair is counted alone, in Python floats
-    (_count_below_float).
-
-    Returns, in record order, a CrossingObservation or the ValueError that
-    names the record's failure.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    # a command's records mostly share one polynomial, which the refiner
-    # builds once
-    refine = crossing_refiner(REFINE_WIDTH)
-    results = []
-    for record in records:
-        try:
-            results.append(_confirm(record, n_max, refine))
-        except ValueError as exc:
-            results.append(exc)
-    return results

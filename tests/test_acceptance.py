@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import sympy
 
-from aqrm import constraint, gfunction, heun, sl2rep, spectrum
+from aqrm import confirm, constraint, gfunction, heun, sl2rep, spectrum
 from aqrm.constraint import PLAIN, TILDE, ConstraintFamily
 from aqrm.exactpoly import BivarPoly, poly_div_x
 
@@ -147,12 +147,12 @@ def test_root_counts_per_window_to_level_30():
 
 def test_criterion_05_crossings_confirmed_and_discriminated():
     judd = constraint.find_crossings(1, 0, Fraction(1, 2), PREC)[0]
-    (obs,) = spectrum.confirm_crossings([judd], n_max=60)
+    (obs,) = confirm.confirm_crossings([judd], n_max=60)
     assert obs.gap < 1e-7
     assert abs(obs.lambda_star - 0.875) < 1e-7
     records = constraint.find_crossings(2, 1, Fraction(1, 4), PREC)
     assert len(records) == 2
-    for rec, obs in zip(records, spectrum.confirm_crossings(records)):
+    for rec, obs in zip(records, confirm.confirm_crossings(records)):
         assert obs.gap < 1e-7
         assert abs(obs.lambda_star - (2 - rec.g**2 + 0.5)) < 1e-7
     for rec in (judd, *records):
@@ -162,12 +162,13 @@ def test_criterion_05_crossings_confirmed_and_discriminated():
                                                        hi * scale))
         g = fake.g
         lam = fake.N - g * g + fake.two_eps / 2
-        ev = spectrum.eigenvalues(spectrum.ModelParams(
-            g, math.sqrt(float(fake.d_value)), fake.two_eps / 2), 60)
+        params = spectrum.ModelParams(g, math.sqrt(float(fake.d_value)),
+                                      fake.two_eps / 2)
+        ev = np.linalg.eigvalsh(spectrum.build_hamiltonian(params, 60))
         order = np.argsort(np.abs(ev - lam))
         gap = abs(ev[order[0]] - ev[order[1]])
         assert gap > 1e-3, (rec.N, gap)
-        (err,) = spectrum.confirm_crossings([fake])
+        (err,) = confirm.confirm_crossings([fake])
         assert isinstance(err, ValueError), (rec.N, err)
     print("criterion 5: PASS (gaps < 1e-7 at roots, > 1e-3 off-root)")
 
@@ -177,7 +178,7 @@ def test_every_root_confirms_to_level_40():
     # roots; each window below holds positive d. N = 30 and 40 in the lowest
     # and the middle window at the default floor, then every window for
     # N <= 6 with the floor at 1, so the derived truncation acts alone
-    cases = [(N, two_eps, k, spectrum.DEFAULT_NMAX) for N in (30, 40)
+    cases = [(N, two_eps, k, confirm.DEFAULT_NMAX) for N in (30, 40)
              for two_eps in (-2, 0, 1, 3) for k in (max(0, -two_eps), N // 2)]
     cases += [(N, two_eps, k, 1) for N in range(1, 7)
               for two_eps in range(-2, 4) for k in range(max(0, -two_eps), N)]
@@ -187,8 +188,8 @@ def test_every_root_confirms_to_level_40():
         records = constraint.find_crossings(N, two_eps, d, PREC)
         assert len(records) == N - k, (N, two_eps, k)
         for rec, obs in zip(records,
-                            spectrum.confirm_crossings(records, n_max=n_max)):
-            assert isinstance(obs, spectrum.CrossingObservation), obs
+                            confirm.confirm_crossings(records, n_max=n_max)):
+            assert isinstance(obs, confirm.CrossingObservation), obs
             assert obs.gap < 1e-7, (N, two_eps, k, rec.root_interval)
         roots += len(records)
     print(f"every root confirms: PASS ({roots} roots, N<=40)")
@@ -268,13 +269,15 @@ def test_criterion_09_g_function_recurrence_reflection_and_roots(
                 gfunction.g_plus(1, float(g), -float(delta)).value
     roots = gfunction.find_exceptional(1, 2.0, (0.01, 1.5))
     for r in roots:
-        ev = spectrum.eigenvalues(spectrum.ModelParams(r.g_root, 2.0), 60)
+        ev = np.linalg.eigvalsh(spectrum.build_hamiltonian(
+            spectrum.ModelParams(r.g_root, 2.0), 60))
         dists = np.sort(np.abs(ev - (1 - r.g_root**2)))
         assert dists[0] < 1e-6 and dists[1] > 1e-4
     # non-vacuous companion: this range does contain an exceptional point
     roots = gfunction.find_exceptional(2, 1.5, (0.8, 1.6))
     assert len(roots) == 1
-    ev = spectrum.eigenvalues(spectrum.ModelParams(roots[0].g_root, 1.5), 60)
+    ev = np.linalg.eigvalsh(spectrum.build_hamiltonian(
+        spectrum.ModelParams(roots[0].g_root, 1.5), 60))
     dists = np.sort(np.abs(ev - roots[0].lambda_))
     assert dists[0] < 1e-6 and dists[1] > 1e-4
     print("criterion 9: PASS (K_n within 1e-12 of exact, exact reflection, "

@@ -86,9 +86,9 @@ def test_roots_csv_counts_window_roots(capsys, k):
 
 
 def test_crossings_confirm_failure_keeps_every_record(capsys, monkeypatch):
-    from aqrm import spectrum
+    from aqrm import confirm
 
-    real = spectrum.confirm_crossings
+    real = confirm.confirm_crossings
     calls = []
 
     def fail_second(records, **kwargs):
@@ -97,7 +97,7 @@ def test_crossings_confirm_failure_keeps_every_record(capsys, monkeypatch):
         results[1] = ValueError("injected miss")
         return results
 
-    monkeypatch.setattr(spectrum, "confirm_crossings", fail_second)
+    monkeypatch.setattr(confirm, "confirm_crossings", fail_second)
     code = main(["crossings", "--N", "3", "--two-eps", "1", "--delta2", "1/2",
                  "--confirm"])
     captured = capsys.readouterr()
@@ -112,9 +112,9 @@ def test_crossings_confirm_failure_keeps_every_record(capsys, monkeypatch):
 
 
 def test_crossings_confirm_counts_each_pair_level_once(capsys, monkeypatch):
-    from aqrm import spectrum
+    from aqrm import confirm, spectrum
 
-    real = spectrum._count_below_float
+    real = confirm._count_below_float
     calls = []
 
     def counted(*args):
@@ -124,7 +124,7 @@ def test_crossings_confirm_counts_each_pair_level_once(capsys, monkeypatch):
     def no_numpy_count(*args):
         raise AssertionError("confirm counted through numpy")
 
-    monkeypatch.setattr(spectrum, "_count_below_float", counted)
+    monkeypatch.setattr(confirm, "_count_below_float", counted)
     monkeypatch.setattr(spectrum, "_count_below", no_numpy_count)
     code, out = run(capsys, "crossings", "--N", "24", "--two-eps", "1",
                     "--delta2", "7/3", "--confirm")
@@ -132,12 +132,24 @@ def test_crossings_confirm_counts_each_pair_level_once(capsys, monkeypatch):
     rows = [json.loads(ln) for ln in out.split("\n") if ln]
     assert len(rows) == 23
     assert all("gap" in row for row in rows)
-    # two counts per record, one per level of its pair, each at its own
-    # derived truncation + CONV_MARGIN
-    assert len(calls) == 2 * len(rows)
-    assert [call[0] for call in calls[::2]] == [row["g"] for row in rows]
-    assert [call[3] for call in calls[::2]] == [call[3] for call in calls[1::2]]
-    assert all(call[3] >= 60 + spectrum.CONV_MARGIN for call in calls)
+    # four counts per record: the window lambda -+ DEGENERACY_TOL at its
+    # derived truncation n, then one per level of its pair at
+    # n + CONV_MARGIN
+    assert len(calls) == 4 * len(rows)
+    tol = confirm.DEGENERACY_TOL
+    for k, row in enumerate(rows):
+        below, above, low, high = calls[4 * k:4 * k + 4]
+        assert {call[0] for call in (below, above, low, high)} == {row["g"]}
+        n = below[3]
+        assert n == above[3] >= 60
+        assert low[3] == high[3] == n + confirm.CONV_MARGIN
+        assert (below[4], above[4]) == (row["lambda"] - tol,
+                                        row["lambda"] + tol)
+        low_level = low[4] + confirm.CONV_TOL
+        high_level = high[4] + confirm.CONV_TOL
+        assert low_level <= high_level
+        assert abs(0.5 * (low_level + high_level)
+                   - row["lambda_observed"]) < 1e-12
 
 
 def test_crossings_csv(capsys):
@@ -457,17 +469,19 @@ def test_malformed_nmax_env_is_usage_error(capsys, monkeypatch, argv):
 
 
 def test_every_exported_name_resolves():
-    # the spectrum names are served lazily from a table of their own, so a
-    # stale entry there would fail only on first access
+    # the numpy-backed spectrum names are served lazily from a table of
+    # their own, so a stale entry there would fail only on first access
     for name in aqrm.__all__:
         getattr(aqrm, name)
 
 
-#: every subcommand that needs no diagonalization, with arguments
+#: every subcommand that needs no dense solve, with arguments
 EXACT_ONLY = [
     ["poly", "--N", "2", "--two-eps", "1", "--k", "2"],
     ["roots", "--N", "2", "--two-eps", "1", "--d", "1/4"],
     ["crossings", "--N", "2", "--delta2", "1/2"],
+    ["crossings", "--N", "12", "--two-eps", "1", "--delta2", "7/3",
+     "--confirm"],
     ["verify-identity", "--N", "3"],
     ["verify-conjecture", "--N", "2", "--ell", "1"],
     ["rep-check", "--trials", "1"],
@@ -485,7 +499,11 @@ for argv in json.loads(sys.argv[1]):
         assert main(argv) == 0, argv
 assert "numpy" not in sys.modules, "an exact-only subcommand loaded numpy"
 import aqrm
-from aqrm import ModelParams, confirm_crossings, sweep
+from aqrm import CrossingObservation, confirm_crossings
+assert "numpy" not in sys.modules, "importing the confirm names loaded numpy"
+assert confirm_crossings is aqrm.confirm.confirm_crossings
+assert CrossingObservation is aqrm.confirm.CrossingObservation
+from aqrm import ModelParams, sweep
 assert {"ModelParams", "confirm_crossings", "sweep"} <= set(aqrm.__all__)
 assert sweep is aqrm.spectrum.sweep
 """

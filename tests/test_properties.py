@@ -4,7 +4,7 @@ from fractions import Fraction
 from hypothesis import Phase, assume, given, settings, strategies as st
 
 from aqrm.constraint import find_crossings
-from aqrm.spectrum import confirm_crossings
+from aqrm.confirm import confirm_crossings
 
 PREC = Fraction(1, 10**12)
 

@@ -5,20 +5,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from aqrm import spectrum
+from aqrm import confirm, spectrum
 from aqrm.cli import main
+from aqrm.confirm import CrossingObservation, confirm_crossings
 from aqrm.constraint import CrossingRecord, find_crossings
-from aqrm.spectrum import (
-    CrossingObservation,
-    ModelParams,
-    _converged,
-    build_hamiltonian,
-    confirm_crossings,
-    eigenvalues,
-    sweep,
-)
+from aqrm.gfunction import find_exceptional
+from aqrm.spectrum import ModelParams, _converged, build_hamiltonian, sweep
 
 PREC = Fraction(1, 10**12)
+
+
+def dense_levels(params: ModelParams, n_max: int) -> np.ndarray:
+    """Ascending eigenvalues of the truncation, by numpy's dense solve."""
+    return np.linalg.eigvalsh(build_hamiltonian(params, n_max))
 
 
 def test_model_params_validation():
@@ -37,7 +36,7 @@ def test_hamiltonian_shape_and_symmetry():
 def test_zero_coupling_spectrum():
     # g = 0, eps = 0: blocks decouple into n +- Delta
     delta = 0.7
-    ev = eigenvalues(ModelParams(0.0, delta), 50)
+    ev = dense_levels(ModelParams(0.0, delta), 50)
     want = np.sort(np.concatenate([np.arange(51) + delta,
                                    np.arange(51) - delta]))
     assert np.max(np.abs(ev[:40] - want[:40])) < 1e-12
@@ -46,7 +45,7 @@ def test_zero_coupling_spectrum():
 def test_zero_tunneling_spectrum():
     # Delta = 0: displaced oscillator, eigenvalues n - g^2, each twice
     g = 0.4
-    ev = eigenvalues(ModelParams(g, 0.0), 60)
+    ev = dense_levels(ModelParams(g, 0.0), 60)
     for n in range(6):
         pair = ev[2 * n: 2 * n + 2]
         assert np.max(np.abs(pair - (n - g * g))) < 1e-10
@@ -55,15 +54,15 @@ def test_zero_tunneling_spectrum():
 def test_self_convergence_of_reported_levels():
     params = ModelParams(0.6, 0.7, 0.3)
     n_max = 40
-    ev = eigenvalues(params, n_max)
-    ev2 = eigenvalues(params, 2 * n_max)
+    ev = dense_levels(params, n_max)
+    ev2 = dense_levels(params, 2 * n_max)
     count = 2 * (n_max + 1) // 3
     assert np.max(np.abs(ev[:count] - ev2[:count])) < 1e-9
 
 
 def test_truncated_spectrum_convergence_flags():
     params = ModelParams(0.25, 0.5, 0.5)
-    ev = eigenvalues(params, 60)
+    ev = dense_levels(params, 60)
     flags = _converged(params.g, params.delta, params.eps, 60, ev,
                        np.arange(len(ev)))
     assert len(ev) == len(flags) == 122
@@ -121,7 +120,7 @@ def test_count_below_on_exact_eigenvalues_of_decoupled_spectra():
              (0.4, 0.0, 0.0, k - 0.16),
              (0.5, 0.0, 0.3, np.concatenate([k - 0.25 + 0.3, k - 0.25 - 0.3]))]
     for g, delta, eps, exact in cases:
-        ev = eigenvalues(ModelParams(g, delta, eps), n_max)
+        ev = dense_levels(ModelParams(g, delta, eps), n_max)
         shifts = np.concatenate([exact, ev])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -141,7 +140,7 @@ def test_count_below_float_equals_one_lane_calls():
     # and shifts on them make the pivots exactly singular
     delta, eps = 0.8, 0.6
     for g, n_max in ((0.0, 1), (0.45, 21), (1.3, 80), (0.8, 231), (2.1, 330)):
-        ev = eigenvalues(ModelParams(g, delta, eps), n_max)
+        ev = dense_levels(ModelParams(g, delta, eps), n_max)
         bound = n_max + abs(eps) + abs(delta) + 2 * math.sqrt(g * g * n_max) + 1
         shifts = np.concatenate([
             [-1.0, 0.0, 1.0, 2.0], ev[:4], 0.5 * (ev[1:4] + ev[:3]),
@@ -153,7 +152,7 @@ def test_count_below_float_equals_one_lane_calls():
             for shift, in_lanes in zip(shifts.tolist(), lanes.tolist()):
                 one = spectrum._count_below(g, delta, eps, n_max,
                                             np.array([shift]))
-                got = spectrum._count_below_float(g, delta, eps, n_max, shift)
+                got = confirm._count_below_float(g, delta, eps, n_max, shift)
                 assert type(got) is int
                 assert got == int(one[0]) == in_lanes, (n_max, shift)
         # beyond -bound nothing is counted, beyond +bound everything
@@ -172,7 +171,7 @@ def test_count_below_float_equals_one_lane_calls():
             row[:] = np.concatenate([np.arange(n_max + 1) - 1.0,
                                      np.arange(n_max + 1) + 1.0])
         else:
-            ev = eigenvalues(ModelParams(g, delta, eps), n_max)
+            ev = dense_levels(ModelParams(g, delta, eps), n_max)
             row[:] = np.where(np.arange(width) % 2, ev,
                               0.5 * (ev + np.roll(ev, 1)))
     with warnings.catch_warnings(), np.errstate(all="raise"):
@@ -184,7 +183,7 @@ def test_count_below_float_equals_one_lane_calls():
             one_row = spectrum._count_below(g, delta, eps, n_max, shifts)
             assert one_row.tolist() == row
             for shift, in_lanes in zip(shifts.tolist(), row):
-                got = spectrum._count_below_float(g, delta, eps, n_max, shift)
+                got = confirm._count_below_float(g, delta, eps, n_max, shift)
                 assert got == in_lanes, (g, shift)
 
 
@@ -202,11 +201,11 @@ def test_convergence_flags_match_dense_rule():
 
 
 def test_parity_and_asymmetry_reflections():
-    ev = eigenvalues(ModelParams(0.45, 0.8, 0.0), 50)
-    assert np.max(np.abs(ev - eigenvalues(ModelParams(-0.45, 0.8, 0.0), 50))) \
-        < 1e-9
-    ev_p = eigenvalues(ModelParams(0.45, 0.8, 0.35), 50)
-    ev_m = eigenvalues(ModelParams(0.45, 0.8, -0.35), 50)
+    ev = dense_levels(ModelParams(0.45, 0.8, 0.0), 50)
+    ev_flip = dense_levels(ModelParams(-0.45, 0.8, 0.0), 50)
+    assert np.max(np.abs(ev - ev_flip)) < 1e-9
+    ev_p = dense_levels(ModelParams(0.45, 0.8, 0.35), 50)
+    ev_m = dense_levels(ModelParams(0.45, 0.8, -0.35), 50)
     assert np.max(np.abs(ev_p - ev_m)) < 1e-9
 
 
@@ -241,11 +240,13 @@ def test_confirm_asymmetric_crossings():
 
 
 def logged_truncations(monkeypatch) -> list[tuple]:
-    """Make spectrum log every dense solve as ("solve", n_max) and every
-    eigenvalue count, in numpy or in floats, as ("count", n_max)."""
+    """Log every dense solve as ("solve", n_max), every eigenvalue count, in
+    numpy or in floats, as ("count", n_max), and every pair solve of
+    confirm as ("pair", n_max)."""
     log = []
     count_below = spectrum._count_below
-    count_below_float = spectrum._count_below_float
+    count_below_float = confirm._count_below_float
+    pair_levels = confirm._pair_levels
     eigvalsh = np.linalg.eigvalsh
 
     def logged_solve(h):
@@ -260,10 +261,28 @@ def logged_truncations(monkeypatch) -> list[tuple]:
         log.append(("count", n_max))
         return count_below_float(g, delta, eps, n_max, shift)
 
+    def logged_pair(g, delta, eps, n_max, sigma):
+        log.append(("pair", n_max))
+        return pair_levels(g, delta, eps, n_max, sigma)
+
     monkeypatch.setattr(np.linalg, "eigvalsh", logged_solve)
     monkeypatch.setattr(spectrum, "_count_below", logged_count)
-    monkeypatch.setattr(spectrum, "_count_below_float", logged_count_float)
+    monkeypatch.setattr(confirm, "_count_below_float", logged_count_float)
+    monkeypatch.setattr(confirm, "_pair_levels", logged_pair)
     return log
+
+
+def confirm_sequence(n: int, levels: int = 2) -> list[tuple]:
+    """The log of one record confirmed at truncation n: two window counts
+    and the pair solve there, then a count per level at n + CONV_MARGIN,
+    stopping at the first level that fails."""
+    return ([("count", n)] * 2 + [("pair", n)]
+            + [("count", n + confirm.CONV_MARGIN)] * levels)
+
+
+def window_miss(lam: float, count: int, n: int) -> str:
+    return (f"no degenerate pair at lambda={lam}: the window lambda +- 1e-07 "
+            f"holds {count} eigenvalues, not 2, at n_max={n}")
 
 
 def test_confirm_solves_once_at_derived_truncation(monkeypatch):
@@ -276,20 +295,23 @@ def test_confirm_solves_once_at_derived_truncation(monkeypatch):
         for n_max, want in ((60, n), (200, 200)):
             log.clear()
             assert confirm_crossings([rec], n_max=n_max)[0].gap < 1e-7
-            # one count per level of the pair
-            assert log == [("solve", want)] + [("count", want + 20)] * 2
+            # two window counts and one pair solve at n, no dense solve,
+            # then one count per level of the pair
+            assert log == confirm_sequence(want)
 
 
 def test_confirm_failure_names_its_cause(monkeypatch, capsys):
     rec = find_crossings(1, 0, Fraction(1, 2), PREC)[0]
     with pytest.raises(ValueError, match="n_max must be >= 1"):
         confirm_crossings([rec], n_max=0)
-    count_below_float = spectrum._count_below_float
+    count_below_float = confirm._count_below_float
 
     def one_level_fell(g, delta, eps, n_max, shift):
-        return count_below_float(g, delta, eps, n_max, shift) + 1
+        # one more level below each shift at n + CONV_MARGIN only
+        fell = n_max > 60
+        return count_below_float(g, delta, eps, n_max, shift) + fell
 
-    monkeypatch.setattr(spectrum, "_count_below_float", one_level_fell)
+    monkeypatch.setattr(confirm, "_count_below_float", one_level_fell)
     (err,) = confirm_crossings([rec])
     assert isinstance(err, ValueError)
     assert str(err) == (
@@ -299,6 +321,18 @@ def test_confirm_failure_names_its_cause(monkeypatch, capsys):
     assert capsys.readouterr().err == (
         f"confirmation failed: truncation n_max=60 too small at "
         f"lambda={rec.lambda_}\n")
+    # a pair solve that leaves a residual above CONV_TOL is its own failure
+    monkeypatch.setattr(confirm, "_count_below_float", count_below_float)
+    pair_levels = confirm._pair_levels
+
+    def unsettled(g, delta, eps, n_max, sigma):
+        low, high, _ = pair_levels(g, delta, eps, n_max, sigma)
+        return low, high, 2 * confirm.CONV_TOL
+
+    monkeypatch.setattr(confirm, "_pair_levels", unsettled)
+    (err,) = confirm_crossings([rec])
+    assert str(err) == (f"pair solve at lambda={rec.lambda_} left residual "
+                        f"2.000e-09 at n_max=60")
 
 
 def _perturbed(rec: CrossingRecord) -> CrossingRecord:
@@ -315,19 +349,27 @@ def test_confirm_rejects_perturbed_root(monkeypatch):
     fake = _perturbed(find_crossings(1, 0, Fraction(1, 2), PREC)[0])
     (err,) = confirm_crossings([fake])
     assert isinstance(err, ValueError)
-    # the pair has converged, so the cause is a miss, found in one solve
-    assert str(err).startswith(
-        f"no degenerate pair at lambda={fake.lambda_}: nearest eigenvalues "
-        "miss by ")
-    assert str(err).endswith(" at n_max=60")
-    assert log == [("solve", 60), ("count", 80), ("count", 80)]
+    # no level lies in the window, found by its two counts alone
+    assert str(err) == window_miss(fake.lambda_, 0, 60)
+    assert log == [("count", 60), ("count", 60)]
     # the avoided crossing at the perturbed point is wide open
     g = fake.g
-    ev = eigenvalues(ModelParams(g, math.sqrt(0.5)), 60)
+    ev = dense_levels(ModelParams(g, math.sqrt(0.5)), 60)
     target = 1 - g * g
     order = np.argsort(np.abs(ev - target))
     gap = abs(ev[order[0]] - ev[order[1]])
     assert gap > 1e-3
+
+
+def test_confirm_names_a_single_level_in_the_window():
+    # a G+ root at eps = 0 is a non-degenerate exceptional eigenvalue
+    # N - g^2: one level in the window, and the record is a miss
+    (root,) = find_exceptional(2, 1.5, (0.8, 1.6))
+    x = Fraction(4 * root.g_root**2)
+    rec = CrossingRecord(N=2, two_eps=0, d_value=Fraction(9, 4),
+                         root_interval=(x, x), rep_pair=None)
+    (err,) = confirm_crossings([rec])
+    assert str(err) == window_miss(rec.lambda_, 1, 60)
 
 
 def test_confirm_batch_matches_one_record_calls(monkeypatch):
@@ -335,34 +377,44 @@ def test_confirm_batch_matches_one_record_calls(monkeypatch):
     n30, n40 = find_crossings(30, 1, d, PREC), find_crossings(40, 1, d, PREC)
     small = find_crossings(3, 1, d, PREC) + find_crossings(12, 1, d, PREC)
     # derived truncations from 30 to 211, some shared within and across N;
-    # at floor 60 every N <= 12 record but the last four solves at n = 60
+    # at floor 60 every N <= 12 record but the last four is confirmed at
+    # n = 60
     records = (n40[:4] + small[:1] + [_perturbed(small[1])] + small[2:]
                + n30[:6] + n30[-1:] + n40[10::10])
     forced = small[7]
-    count_below_float = spectrum._count_below_float
+    count_below_float = confirm._count_below_float
+    floor = None
 
     def forced_level_fell(g, delta, eps, n_max, shift):
-        fell = g == forced.g
+        # the forced record's lower level moves at n + CONV_MARGIN
+        fell = g == forced.g and n_max == max(floor, 58) + confirm.CONV_MARGIN
         return count_below_float(g, delta, eps, n_max, shift) + fell
 
-    monkeypatch.setattr(spectrum, "_count_below_float", forced_level_fell)
+    monkeypatch.setattr(confirm, "_count_below_float", forced_level_fell)
     log = logged_truncations(monkeypatch)
     assert confirm_crossings([]) == [] and log == []
-    for n_max in (1, 60):
+    for floor in (1, 60):
         log.clear()
-        batch = confirm_crossings(records, n_max=n_max)
-        solves = [n for kind, n in log if kind == "solve"]
-        # one solve per record, each followed by a count per level at its
-        # truncation + CONV_MARGIN; the forced record fails on its first
-        assert len(solves) == len(records)
-        expected = []
-        for rec, n in zip(records, solves):
-            count = ("count", n + spectrum.CONV_MARGIN)
-            expected += [("solve", n)] + [count] * (1 if rec is forced else 2)
+        batch = confirm_crossings(records, n_max=floor)
+        # per record: two window counts at its truncation n, then the pair
+        # solve there and a count per level at n + CONV_MARGIN; the
+        # perturbed record stops at its window, the forced one at its
+        # first level
+        expected, at = [], 0
+        for rec in records:
+            kind, n = log[at]
+            assert kind == "count" and n >= floor
+            if rec is records[5]:
+                seq = [("count", n)] * 2
+            else:
+                seq = confirm_sequence(n, 1 if rec is forced else 2)
+            expected += seq
+            at += len(seq)
         assert log == expected
+        assert sum(kind == "pair" for kind, _ in log) == len(records) - 1
         failures = []
         for rec, got in zip(records, batch):
-            (want,) = confirm_crossings([rec], n_max=n_max)
+            (want,) = confirm_crossings([rec], n_max=floor)
             assert type(got) is type(want)
             if isinstance(want, ValueError):
                 assert str(got) == str(want)
@@ -370,19 +422,79 @@ def test_confirm_batch_matches_one_record_calls(monkeypatch):
             else:
                 # repr spells every float exactly
                 assert repr(got) == repr(want)
-        lam_miss = records[5].lambda_
         assert failures == [
-            f"no degenerate pair at lambda={lam_miss}: nearest eigenvalues "
-            f"miss by (7.517e-02, 1.590e-01) with gap 2.342e-01 at "
-            f"n_max={max(n_max, 33)}",
-            f"truncation n_max={max(n_max, 58)} too small at "
+            window_miss(records[5].lambda_, 0, max(floor, 33)),
+            f"truncation n_max={max(floor, 58)} too small at "
             f"lambda={forced.lambda_}"]
+
+
+def test_confirm_matches_dense_oracle():
+    # lambda_observed and gap against numpy's dense solve of the same
+    # truncation n = max(60, ceil(2.5 (N + eps + g^2) + 20)), for N up to
+    # 40, every 2 eps in -2..3 and three d; the dense pair is the two
+    # levels the counts name
+    worst = 0.0
+    for N in (1, 2, 3, 5, 8, 13, 21, 40):
+        for two_eps in range(-2, 4):
+            for d in (Fraction(1, 3), Fraction(7, 3), Fraction(40)):
+                records = find_crossings(N, two_eps, d, PREC)
+                if N == 40:
+                    records = records[::6]
+                for rec, obs in zip(records, confirm_crossings(records)):
+                    assert isinstance(obs, CrossingObservation), obs
+                    eps = two_eps / 2
+                    n = max(60, math.ceil(2.5 * (N + eps + rec.g**2) + 20))
+                    ev = dense_levels(ModelParams(
+                        rec.g, math.sqrt(float(d)), eps), n)
+                    i, j = obs.indices
+                    assert j == i + 1
+                    assert np.argsort(np.abs(ev - rec.lambda_))[:2].tolist() \
+                        in ([i, j], [j, i])
+                    worst = max(worst,
+                                abs(obs.lambda_star - 0.5 * (ev[i] + ev[j])),
+                                abs(obs.gap - (ev[j] - ev[i])))
+    assert worst < 1e-12
+
+
+def test_pair_solve_steps_over_singular_pivots():
+    # at g = 0 the Fock levels decouple into n +- sqrt(eps^2 + Delta^2) =
+    # n +- 5/2, so sigma = 5/2 is a double level, of blocks 0 and 5, and
+    # their pivots D_n = A_n - sigma are exactly singular. The solve must
+    # take the near-singular step of _count_below_float there, not divide
+    # by zero, and still find the pair
+    delta, eps, sigma = 2.0, 1.5, 2.5
+    for n in (0, 5):
+        assert (eps - sigma + n) * (-eps - sigma + n) - delta * delta == 0.0
+    for n_max in (5, 6, 60):
+        assert [confirm._count_below_float(0.0, delta, eps, n_max, shift)
+                for shift in (sigma - 1e-7, sigma + 1e-7)] == [5, 7]
+        low, high, residual = confirm._pair_levels(0.0, delta, eps, n_max,
+                                                   sigma)
+        assert residual <= confirm.RITZ_TOL
+        assert abs(low - sigma) <= 1e-14 and abs(high - sigma) <= 1e-14
+
+
+def test_pair_solve_corrects_an_unpivoted_factorization():
+    # at this root of N = 6, 2 eps = 3, d = 87/4 the leading block of
+    # H - lambda up to Fock level 8 is close to singular (pivot determinant
+    # 6.5e-3), and the unpivoted solve errs by about 1e-10 near that level:
+    # one solve leaves a residual of 2.9e-10 and two plain iterations one
+    # of 1.6e-10, the Newton correction one below 1e-13
+    d = Fraction(87, 4)
+    rec = find_crossings(6, 3, d, PREC)[2]
+    delta = math.sqrt(float(d))
+    low, high, residual = confirm._pair_levels(rec.g, delta, 1.5, 60,
+                                               rec.lambda_)
+    assert residual < 1e-13
+    ev = dense_levels(ModelParams(rec.g, delta, 1.5), 60)
+    i = int(np.searchsorted(ev, rec.lambda_ - 1e-7))
+    assert abs(low - ev[i]) < 1e-12 and abs(high - ev[i + 1]) < 1e-12
 
 
 def test_sweep_single_point_matches_direct():
     sw = sweep(0.5, 0.0, [0.3], n_max=40)
     params = ModelParams(0.3, 0.5, 0.0)
-    ev = eigenvalues(params, 40)
+    ev = dense_levels(params, 40)
     assert np.array_equal(sw.table[0], ev)
     assert np.array_equal(sw.converged[0], _converged(
         params.g, params.delta, params.eps, 40, ev, np.arange(len(ev))))
@@ -400,7 +512,7 @@ def test_sweep_rows_equal_fresh_solves(n_max, delta, eps, grid):
     sw = sweep(delta, eps, grid, n_max=n_max)
     assert sw.table.shape == (len(grid), 2 * (n_max + 1))
     for g, row in zip(grid, sw.table):
-        assert row.tobytes() == eigenvalues(ModelParams(g, delta, eps),
+        assert row.tobytes() == dense_levels(ModelParams(g, delta, eps),
                                             n_max).tobytes()
 
 
