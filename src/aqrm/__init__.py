@@ -4,6 +4,9 @@ Exact constraint polynomials for the degenerate part of the spectrum, the
 finite-dimensional representation machinery that explains them, the
 associated confluent second-order operators, series for the non-degenerate
 exceptional eigenvalues, and brute-force diagonalization to check it all.
+
+Names that need numpy (sweep, kernel_vector, ...) are imported from
+aqrm.spectrum, the one module that loads it; importing aqrm does not.
 """
 
 from .confirm import CrossingObservation, confirm_crossings
@@ -15,7 +18,6 @@ from .constraint import (
     constraint_poly,
     constraint_poly_at,
     find_crossings,
-    kernel_vector,
     rep_pair_labels,
     tridiag_matrix,
     verify_conjecture,
@@ -46,26 +48,4 @@ from .sl2rep import (
 
 __version__ = "0.1.0"
 
-#: the numpy-backed names of spectrum, served on first access (PEP 562), so
-#: that importing the package, any exact layer or confirm does not load numpy
-_SPECTRUM_NAMES = (
-    "ModelParams",
-    "SpectralSweep",
-    "build_hamiltonian",
-    "sweep",
-)
-
-__all__ = sorted([name for name in dir() if not name.startswith("_")]
-                 + ["spectrum", *_SPECTRUM_NAMES])
-
-
-def __getattr__(name):
-    if name in _SPECTRUM_NAMES:
-        from . import spectrum
-
-        return getattr(spectrum, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_SPECTRUM_NAMES))
+__all__ = sorted(name for name in dir() if not name.startswith("_"))

@@ -114,6 +114,8 @@ def _cmd_roots(args) -> int:
 def _cmd_crossings(args) -> int:
     if args.confirm:
         n_max = _n_max(args)
+    elif args.n_max is not None:
+        raise ValueError("--n-max needs --confirm")
     records = constraint.find_crossings(args.N, args.two_eps, args.delta2,
                                         args.precision)
     if args.confirm:

@@ -5,9 +5,9 @@ eigenvalues lambda = N - g^2 + eps whose coupling values are positive roots of
 a constraint polynomial P_N in x = (2g)^2 and d = Delta^2. Two variants exist,
 here called plain and tilde; they are exchanged by negating eps. This module
 builds both families exactly, exposes the tridiagonal matrices whose
-determinants generate them, locates crossings at fixed d, reconstructs kernel
-vectors at roots, and hosts the exact divisibility verifiers that relate the
-two families at half-integer eps.
+determinants generate them, locates crossings at fixed d, and hosts the exact
+divisibility verifiers that relate the two families at half-integer eps. Kernel
+vectors at roots, in floats, are spectrum.kernel_vector.
 """
 from __future__ import annotations
 
@@ -16,13 +16,10 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import Callable, Iterator
 
 from .exactpoly import (BivarPoly, UniPoly, isolate_positive_roots,
                         poly_div_x, root_refiner, to_fraction)
-
-if TYPE_CHECKING:
-    import numpy as np
 
 PLAIN = "plain"
 TILDE = "tilde"
@@ -169,12 +166,6 @@ class TridiagSpec:
                 m[r + 1][r] = self.sub[r].evaluate(x_value, d_value)
         return m
 
-    def dense(self, x_value, d_value) -> np.ndarray:
-        """The matrix at (x, d) as floats."""
-        import numpy as np  # deferred, so the exact layer never loads numpy
-
-        return np.array(self.at(x_value, d_value), dtype=float)
-
 
 def tridiag_matrix(fam: ConstraintFamily, k: int) -> TridiagSpec:
     """Tridiagonal matrix whose determinant equals (-1)^k (-d) P_k.
@@ -254,40 +245,6 @@ def find_crossings(N: int, two_eps: int, d_value, precision) -> list[CrossingRec
     return [CrossingRecord(N=N, two_eps=two_eps, d_value=d_value,
                            root_interval=iv, rep_pair=pair)
             for iv in intervals]
-
-
-# -- kernel vectors ------------------------------------------------------------
-
-NONROOT_RESIDUAL = 1e-6  #: residual/norm ratio above which x is rejected as a non-root
-
-
-def kernel_vector(fam: ConstraintFamily, d_value, x_value: float) -> list[float]:
-    """Unit kernel vector of the specialized full-size tridiagonal matrix.
-
-    The matrix at a constraint-polynomial root has rank N, so its kernel is a
-    line, spanned by the right singular vector of the smallest singular value.
-    A three-term recurrence run from either end of the matrix loses accuracy
-    at large N; the SVD does not. The sign makes entry 0 (plain) or 1 (tilde),
-    the entry that is nonzero on every kernel vector, positive. Raises
-    ValueError when the residual shows x_value is not a root to working
-    precision.
-    """
-    import numpy as np
-
-    d_value = to_fraction(d_value)
-    x = float(x_value)
-    if x <= 0 or d_value <= 0:
-        raise ValueError("x and d must be positive")
-    m = tridiag_matrix(fam, fam.N).dense(Fraction(x), d_value)
-    vec = np.linalg.svd(m)[2][-1]
-    residual = np.linalg.norm(m @ vec) / np.linalg.norm(m)
-    if residual > NONROOT_RESIDUAL:
-        raise ValueError(
-            f"x={x_value} is not a root of the specialized constraint "
-            f"polynomial (residual ratio {residual:.3e})")
-    if vec[0 if fam.variant == PLAIN else 1] < 0:
-        vec = -vec
-    return vec.tolist()
 
 
 # -- exact identity and divisibility verifiers ---------------------------------

@@ -16,17 +16,22 @@ sweep's whole table; confirm._count_below_float, in Python floats, counts
 the four shifts of each confirmed crossing, where numpy's per-call cost
 would outweigh the arithmetic. The two give the same count bit for bit.
 Crossing confirmation needs no dense solve and lives in confirm, without
-numpy; this module takes its tolerances from there.
+numpy; this module takes its tolerances from there. This is the one module
+that imports numpy, so kernel_vector, the float kernel vector of a
+constraint tridiagonal at a root, lives here too.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .confirm import (CONV_MARGIN, CONV_TOL, DEFAULT_NMAX, DEGENERACY_TOL,
                       CrossingObservation)
+from .constraint import PLAIN, ConstraintFamily, tridiag_matrix
+from .exactpoly import to_fraction
 
 
 @dataclass(frozen=True)
@@ -214,3 +219,34 @@ def sweep(delta: float, eps: float, g_grid,
     return SpectralSweep(delta=delta, eps=eps, n_max=n_max, g_grid=grid,
                          table=table, converged=converged,
                          crossings=tuple(found))
+
+
+NONROOT_RESIDUAL = 1e-6  #: residual/norm ratio above which x is rejected as a non-root
+
+
+def kernel_vector(fam: ConstraintFamily, d_value, x_value: float) -> list[float]:
+    """Unit kernel vector of the specialized full-size tridiagonal matrix.
+
+    The matrix at a constraint-polynomial root has rank N, so its kernel is a
+    line, spanned by the right singular vector of the smallest singular value.
+    A three-term recurrence run from either end of the matrix loses accuracy
+    at large N; the SVD does not. The sign makes entry 0 (plain) or 1 (tilde),
+    the entry that is nonzero on every kernel vector, positive. Raises
+    ValueError when the residual shows x_value is not a root to working
+    precision.
+    """
+    d_value = to_fraction(d_value)
+    x = float(x_value)
+    if x <= 0 or d_value <= 0:
+        raise ValueError("x and d must be positive")
+    m = np.array(tridiag_matrix(fam, fam.N).at(Fraction(x), d_value),
+                 dtype=float)
+    vec = np.linalg.svd(m)[2][-1]
+    residual = np.linalg.norm(m @ vec) / np.linalg.norm(m)
+    if residual > NONROOT_RESIDUAL:
+        raise ValueError(
+            f"x={x_value} is not a root of the specialized constraint "
+            f"polynomial (residual ratio {residual:.3e})")
+    if vec[0 if fam.variant == PLAIN else 1] < 0:
+        vec = -vec
+    return vec.tolist()

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -276,7 +277,9 @@ def test_sweep_csv_rows_match_per_row_formatting(capsys):
                     "--steps", str(steps), "--n-max", str(n_max))
     assert code == 0
     grid = [g_min + (g_max - g_min) * i / (steps - 1) for i in range(steps)]
-    sw = aqrm.sweep(2.0, 0.3, grid, n_max=n_max)
+    from aqrm import spectrum
+
+    sw = spectrum.sweep(2.0, 0.3, grid, n_max=n_max)
     rows = ["g,index,eigenvalue,converged"]
     for g, evs, flags in zip(grid, sw.table, sw.converged):
         rows += [f"{g!r},{idx},{ev!r},{flag}"
@@ -451,6 +454,17 @@ def test_nmax_env_ignored_without_diagonalization(capsys, monkeypatch):
     assert len(out.strip().split("\n")) == 2
 
 
+def test_nmax_without_confirm_is_usage_error(capsys):
+    # only --confirm reads the cutoff; without it --n-max would be ignored
+    for n_max in ("0", "60"):
+        code = main(["crossings", "--N", "2", "--delta2", "1/2",
+                     "--n-max", n_max])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "aqrm crossings: --n-max needs --confirm\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("crossings", "--N", "2", "--delta2", "1/2", "--confirm"),
     ("sweep", "--delta", "0.5", "--g-min", "0.1", "--g-max", "0.3",
@@ -469,8 +483,7 @@ def test_malformed_nmax_env_is_usage_error(capsys, monkeypatch, argv):
 
 
 def test_every_exported_name_resolves():
-    # the numpy-backed spectrum names are served lazily from a table of
-    # their own, so a stale entry there would fail only on first access
+    # `from aqrm import *` reads every name in __all__
     for name in aqrm.__all__:
         getattr(aqrm, name)
 
@@ -493,19 +506,20 @@ EXACT_ONLY = [
 
 _FRESH_EXACT_RUN = """
 import contextlib, io, json, sys
+from aqrm import *
+assert "numpy" not in sys.modules, "from aqrm import * loaded numpy"
 from aqrm.cli import main
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
 assert "numpy" not in sys.modules, "an exact-only subcommand loaded numpy"
 import aqrm
-from aqrm import CrossingObservation, confirm_crossings
-assert "numpy" not in sys.modules, "importing the confirm names loaded numpy"
 assert confirm_crossings is aqrm.confirm.confirm_crossings
 assert CrossingObservation is aqrm.confirm.CrossingObservation
-from aqrm import ModelParams, sweep
-assert {"ModelParams", "confirm_crossings", "sweep"} <= set(aqrm.__all__)
-assert sweep is aqrm.spectrum.sweep
+from aqrm import spectrum
+for name in ("sweep", "ModelParams", "SpectralSweep", "build_hamiltonian",
+             "kernel_vector"):
+    assert callable(getattr(spectrum, name)), name
 """
 
 
@@ -519,3 +533,20 @@ def test_exact_subcommands_do_not_load_numpy():
         [sys.executable, "-c", _FRESH_EXACT_RUN, json.dumps(EXACT_ONLY)],
         env=env, capture_output=True, text=True, timeout=120)
     assert child.returncode == 0, child.stderr
+
+
+def test_only_spectrum_imports_numpy():
+    # numpy stays behind one module; a function-local or TYPE_CHECKING
+    # import elsewhere counts too
+    importers = set()
+    for path in Path(aqrm.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            if any(m.partition(".")[0] == "numpy" for m in modules):
+                importers.add(path.name)
+    assert importers == {"spectrum.py"}

@@ -15,7 +15,6 @@ from aqrm.constraint import (
     constraint_poly_at,
     crossing_refiner,
     find_crossings,
-    kernel_vector,
     rep_pair_labels,
     tridiag_matrix,
     verify_conjecture,
@@ -24,6 +23,7 @@ from aqrm.constraint import (
 from aqrm.cli import main
 from aqrm import constraint
 from aqrm.exactpoly import BivarPoly, root_refiner
+from aqrm.spectrum import kernel_vector
 
 X, D = BivarPoly.x(), BivarPoly.d()
 PREC = Fraction(1, 10**12)
@@ -130,18 +130,6 @@ def test_constraint_poly_at_is_scaled_specialization():
         assert all(type(c) is int for c in got.coeffs)  # not integral Fractions
 
 
-def test_tridiag_dense_matches_entries():
-    fam = ConstraintFamily(3, 1, TILDE)
-    spec = tridiag_matrix(fam, 3)
-    xv, dv = Fraction(3, 2), Fraction(1, 4)
-    m = spec.dense(xv, dv)
-    assert m.shape == (4, 4)
-    assert m[2, 2] == float(spec.diag[2].evaluate(xv, dv))
-    assert m[1, 2] == float(spec.sup[1].evaluate(xv, dv))
-    assert m[2, 1] == float(spec.sub[1].evaluate(xv, dv))
-    assert m[0, 3] == 0.0
-
-
 def test_find_crossings_examples():
     recs = find_crossings(1, 0, Fraction(1, 2), PREC)
     assert len(recs) == 1
@@ -227,7 +215,7 @@ def test_root_refiner_checks_every_interval():
 
 def residual_ratio(fam, d_value, x_value, vec):
     spec = tridiag_matrix(fam, fam.N)
-    m = spec.dense(Fraction(x_value), Fraction(d_value))
+    m = np.array(spec.at(Fraction(x_value), Fraction(d_value)), dtype=float)
     return (np.linalg.norm(m @ np.asarray(vec))
             / np.linalg.norm(m))
 
@@ -282,7 +270,8 @@ def test_kernel_vector_every_refined_root_to_level_18():
                         x = float(rec.x_root)
                         v = np.asarray(kernel_vector(fam, d, x))
                         assert residual_ratio(fam, d, x, v) < 1e-10
-                        m = tridiag_matrix(fam, N).dense(Fraction(x), d)
+                        m = np.array(tridiag_matrix(fam, N).at(
+                            Fraction(x), d), dtype=float)
                         w = backward_kernel(m)
                         assert min(np.max(np.abs(v - w)),
                                    np.max(np.abs(v + w))) < 1e-8, (

@@ -12,11 +12,11 @@ from aqrm.constraint import (
     ConstraintFamily,
     constraint_poly,
     find_crossings,
-    kernel_vector,
     tridiag_matrix,
 )
 from aqrm import sl2rep
 from aqrm.exactpoly import UniPoly, root_refiner
+from aqrm.spectrum import kernel_vector
 from aqrm.sl2rep import (
     GENERATORS,
     KParams,
