@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .constraint import CrossingRecord, crossing_refiner
+from .constraint import CrossingRecord, find_crossings
 
 DEFAULT_NMAX = 60
 
@@ -29,7 +29,7 @@ CONV_TOL = 1e-9
 
 #: a level pair closer than this counts as a degeneracy
 DEGENERACY_TOL = 1e-7
-#: confirm_crossings first refines a record wider in x than REFINE_WIDTH,
+#: confirm_crossings first re-isolates a record wider in x than REFINE_WIDTH,
 #: DEGENERACY_TOL times CONFIRM_WIDTH; the level gap grows about linearly
 #: with the width (about 1 per unit of x at N=12), and records at the CLI
 #: default width 1e-12 are never refined
@@ -219,15 +219,33 @@ def _pair_levels(g: float, delta: float, eps: float, n_max: int,
     return sigma + (mid - half), sigma + (mid + half), residual
 
 
-def _confirm(record: CrossingRecord, n_max: int,
-             refine) -> CrossingObservation:
-    """Confirm one record, or raise the ValueError that names its failure:
-    refine the record if it is wider than REFINE_WIDTH, count the levels of
-    its truncation n in lambda +- DEGENERACY_TOL, solve for the pair there
-    and count each of its levels at n + CONV_MARGIN."""
+def _refined(record: CrossingRecord, fine: dict) -> CrossingRecord:
+    """The record of the root in record's (lo, hi], isolated to REFINE_WIDTH;
+    record itself when it is at most REFINE_WIDTH wide.
+
+    fine maps (N, 2 eps, d) to find_crossings at REFINE_WIDTH, filled as
+    records need it. Isolation bisects the same tree at every precision, so
+    each interval a coarser find_crossings gives holds exactly one of
+    these; an interval that holds none or several, or ends inside one of
+    them, raises ValueError.
+    """
     lo, hi = record.root_interval
-    if hi - lo > REFINE_WIDTH:
-        record = refine(record)
+    if hi - lo <= REFINE_WIDTH:
+        return record
+    key = (record.N, record.two_eps, record.d_value)
+    if key not in fine:
+        fine[key] = find_crossings(*key, REFINE_WIDTH)
+    inside = [rec for rec in fine[key] if lo < rec.root_interval[1] <= hi]
+    if len(inside) != 1 or any(a < end < b for a, b in (
+            rec.root_interval for rec in fine[key]) for end in (lo, hi)):
+        raise ValueError("interval does not isolate exactly one root")
+    return inside[0]
+
+
+def _confirm(record: CrossingRecord, n_max: int) -> CrossingObservation:
+    """Confirm one record, or raise the ValueError that names its failure:
+    count the levels of its truncation n in lambda +- DEGENERACY_TOL, solve
+    for the pair there and count each of its levels at n + CONV_MARGIN."""
     g = record.g
     target = record.lambda_
     delta = math.sqrt(float(record.d_value))
@@ -271,8 +289,9 @@ def confirm_crossings(records, n_max: int = DEFAULT_NMAX
     Each record pins lambda = N - g^2 + eps at g derived from the isolated
     root of the constraint polynomial; the truncated spectrum must hold
     exactly two eigenvalues within DEGENERACY_TOL of that target, and they
-    must lie within DEGENERACY_TOL of each other. A record too wide for
-    DEGENERACY_TOL is refined first. At
+    must lie within DEGENERACY_TOL of each other. A record wider than
+    REFINE_WIDTH is replaced first by the one record of find_crossings at
+    REFINE_WIDTH inside it, isolated once per (N, 2 eps, d). At
     n = max(n_max, ceil(2.5 (lambda + 2 g^2) + 20)) two counts at
     lambda +- DEGENERACY_TOL give the number of levels in the window and,
     when it is two, their indices k and k + 1; a window with any other
@@ -288,13 +307,11 @@ def confirm_crossings(records, n_max: int = DEFAULT_NMAX
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    # a command's records mostly share one polynomial, which the refiner
-    # builds once
-    refine = crossing_refiner(REFINE_WIDTH)
+    fine: dict = {}
     results = []
     for record in records:
         try:
-            results.append(_confirm(record, n_max, refine))
+            results.append(_confirm(_refined(record, fine), n_max))
         except ValueError as exc:
             results.append(exc)
     return results

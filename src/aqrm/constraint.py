@@ -16,10 +16,10 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .exactpoly import (BivarPoly, UniPoly, isolate_positive_roots,
-                        poly_div_x, root_refiner, to_fraction)
+                        poly_div_x, to_fraction)
 
 PLAIN = "plain"
 TILDE = "tilde"
@@ -222,10 +222,15 @@ def rep_pair_labels(N: int, two_eps: int) -> tuple[str, str] | None:
 
     The pairing is uniform in N and 2*eps >= 0: the eigenvalue curve from the
     plain family at level N meets the tilde curve at level N + 2*eps, carried
-    by F_{N+1} and F_{N+2*eps}. Labels are only defined for eps >= 0.
+    by F_{N+1} and F_{N+2*eps}. Under the reflection eps -> -eps, level N at
+    2*eps = -ell has the crossings of level N - ell at +ell, and takes its
+    labels. There are none when N <= ell: P_N then has no negative
+    coefficient (tested for ell <= 8), so no crossing.
     """
     if two_eps < 0:
-        return None
+        N, two_eps = N + two_eps, -two_eps
+        if N < 1:
+            return None
     return (f"F_{N + 1}", f"F_{N + two_eps}")
 
 
@@ -313,23 +318,3 @@ def verify_conjecture(N: int, ell: int) -> dict:
     report["ok"] = (report["remainder_zero"] and report["integer_coeffs"]
                     and all_positive)
     return report
-
-
-def crossing_refiner(precision) -> Callable[[CrossingRecord], CrossingRecord]:
-    """A function that returns a record with its root interval shrunk to
-    width <= precision. P_N at d and its square-free part are built once for
-    each (N, 2 eps, d) the records share, and go with the function."""
-    refiners = {}
-
-    def refine(rec: CrossingRecord) -> CrossingRecord:
-        key = (rec.N, rec.two_eps, rec.d_value)
-        if key not in refiners:
-            fam = ConstraintFamily(rec.N, rec.two_eps, PLAIN)
-            refiners[key] = root_refiner(
-                constraint_poly_at(fam, rec.N, rec.d_value))
-        interval = refiners[key](rec.root_interval, precision)
-        return CrossingRecord(N=rec.N, two_eps=rec.two_eps,
-                              d_value=rec.d_value, root_interval=interval,
-                              rep_pair=rec.rep_pair)
-
-    return refine

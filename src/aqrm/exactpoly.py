@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 
 def to_fraction(value) -> Fraction:
@@ -573,33 +573,3 @@ def _refine(q: list[int], lo: Fraction, hi: Fraction,
         a = 2 * a if (acc > 0) - (acc < 0) == sign_hi else m
     cell = width / (1 << steps)
     return (lo + a * cell, lo + (a + 1) * cell)
-
-
-def root_refiner(p: UniPoly) -> Callable[..., tuple[Fraction, Fraction]]:
-    """A function refine(interval, precision) that shrinks an isolating
-    interval of p (half-open, exactly one root) to width <= precision. It
-    raises ValueError unless the interval holds exactly one root. The
-    square-free part of p is built on the first call that needs it and kept
-    for the rest, so many intervals of one p share it."""
-    s: list[int] | None = None
-
-    def refine(interval: tuple, precision) -> tuple[Fraction, Fraction]:
-        nonlocal s
-        lo, hi = to_fraction(interval[0]), to_fraction(interval[1])
-        if lo == hi and not p.is_zero() and p(lo) == 0:
-            return (lo, hi)
-        if p.is_zero() or lo >= hi:
-            raise ValueError("interval does not isolate exactly one root")
-        precision = to_fraction(precision)
-        if precision <= 0:
-            raise ValueError("precision must be positive")
-        if s is None:
-            s = _square_free(_integer_coeffs(p.coeffs))
-        if len(s) <= 1:
-            raise ValueError("interval does not isolate exactly one root")
-        q = _cell_poly(s, lo, hi)
-        if _roots_in_cell(q) + (not p(hi)) != 1:
-            raise ValueError("interval does not isolate exactly one root")
-        return _refine(q, lo, hi, precision)
-
-    return refine

@@ -483,9 +483,21 @@ def test_malformed_nmax_env_is_usage_error(capsys, monkeypatch, argv):
 
 
 def test_every_exported_name_resolves():
-    # `from aqrm import *` reads every name in __all__
-    for name in aqrm.__all__:
-        getattr(aqrm, name)
+    # `from aqrm import *` reads __all__: the package's surface is this
+    # list, its submodules included
+    assert aqrm.__all__ == [
+        "BivarPoly", "ConstraintFamily", "CrossingObservation",
+        "CrossingRecord", "ExceptionalRoot", "GValue", "HeunOp", "KParams",
+        "PLAIN", "RepOperator", "RepParams", "TILDE", "UniPoly",
+        "assemble_K", "bargmann_system_residual", "casimir",
+        "commutator_check", "confirm", "confirm_crossings", "constraint",
+        "constraint_poly", "constraint_poly_at", "exactpoly",
+        "find_crossings", "find_exceptional", "g_minus", "g_pair", "g_plus",
+        "gfunction", "heun", "heun_direct", "intertwiner_check",
+        "invariant_subspace_check", "isolate_positive_roots", "poly_div_x",
+        "reduction_check", "reduction_kparams", "rep_generator",
+        "rep_pair_labels", "sl2rep", "to_fraction", "tridiag_matrix",
+        "verify_conjecture", "verify_identity_half"]
 
 
 #: every subcommand that needs no dense solve, with arguments

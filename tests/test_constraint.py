@@ -13,7 +13,6 @@ from aqrm.constraint import (
     CrossingRecord,
     constraint_poly,
     constraint_poly_at,
-    crossing_refiner,
     find_crossings,
     rep_pair_labels,
     tridiag_matrix,
@@ -22,7 +21,7 @@ from aqrm.constraint import (
 )
 from aqrm.cli import main
 from aqrm import constraint
-from aqrm.exactpoly import BivarPoly, root_refiner
+from aqrm.exactpoly import BivarPoly
 from aqrm.spectrum import kernel_vector
 
 X, D = BivarPoly.x(), BivarPoly.d()
@@ -150,7 +149,15 @@ def test_rep_pair_labels():
     assert rep_pair_labels(1, 0) == ("F_2", "F_1")
     assert rep_pair_labels(2, 1) == ("F_3", "F_3")
     assert rep_pair_labels(2, 3) == ("F_3", "F_5")
-    assert rep_pair_labels(2, -1) is None
+    # by the reflection, level N + ell at -ell takes the labels of level N
+    # at +ell; a level N + ell <= ell has none, and no crossing
+    assert rep_pair_labels(2, -1) == ("F_2", "F_2")
+    assert rep_pair_labels(5, -3) == ("F_3", "F_5")
+    for ell in range(1, 9):
+        for N in range(1, ell + 1):
+            assert rep_pair_labels(N, -ell) is None
+            p = constraint_poly(ConstraintFamily(N, -ell), N)
+            assert min(p.terms.values()) >= 0, (N, ell)
 
 
 def test_crossing_record_json_schema(capsys):
@@ -168,49 +175,16 @@ def test_crossing_record_json_schema(capsys):
 
 
 def test_refine_crossing_shrinks_interval():
-    rec = find_crossings(2, 1, Fraction(1, 4), Fraction(1, 4))[0]
-    fine = crossing_refiner(Fraction(1, 10**15))(rec)
-    lo, hi = fine.root_interval
-    assert hi - lo <= Fraction(1, 10**15)
-    assert fine.rep_pair == rec.rep_pair
-
-
-def test_crossing_refiner_builds_each_polynomial_once(monkeypatch):
-    # one refiner serves records of two polynomials, interleaved: each
-    # polynomial is built once, and every record comes out as a fresh
-    # refiner of its own leaves it
-    recs = (find_crossings(12, 1, Fraction(7, 3), Fraction(1, 100))
-            + find_crossings(9, 0, Fraction(5, 2), Fraction(1, 100)))
-    recs = recs[::2] + recs[1::2]
-    want = [crossing_refiner(PREC)(rec) for rec in recs]
-    built = []
-    real = constraint.constraint_poly_at
-
-    def counted(fam, k, d_value):
-        built.append((fam.N, fam.two_eps, d_value))
-        return real(fam, k, d_value)
-
-    monkeypatch.setattr(constraint, "constraint_poly_at", counted)
-    refine = crossing_refiner(PREC)
-    assert [refine(rec) for rec in recs] == want
-    assert sorted(built) == [(9, 0, Fraction(5, 2)), (12, 1, Fraction(7, 3))]
-
-
-def test_root_refiner_checks_every_interval():
-    # the square-free part is kept between calls, the one-root check is not
-    # skipped: an interval with two roots or none is rejected after a good one
-    p = constraint_poly_at(ConstraintFamily(6, 0), 6, Fraction(1, 3))
-    intervals = find_crossings(6, 0, Fraction(1, 3), Fraction(1, 100))
-    refine = root_refiner(p)
-    for rec in intervals:
-        assert refine(rec.root_interval, PREC) == root_refiner(p)(
-            rec.root_interval, PREC)
-    assert len(intervals) >= 2
-    (lo, _), (_, hi) = intervals[0].root_interval, intervals[1].root_interval
-    top = intervals[-1].root_interval[1]
-    for bad in ((lo, hi), (top, top + 1)):
-        with pytest.raises(ValueError, match="exactly one root"):
-            refine(bad, PREC)
+    # isolation bisects one tree at every precision: each coarse interval
+    # holds exactly one of the fine ones, with the same labels
+    coarse = find_crossings(2, 1, Fraction(1, 4), Fraction(1, 4))
+    fine = find_crossings(2, 1, Fraction(1, 4), Fraction(1, 10**15))
+    assert len(fine) == len(coarse) == 2
+    for rec, sharp in zip(coarse, fine):
+        (lo, hi), (a, b) = rec.root_interval, sharp.root_interval
+        assert lo <= a < b <= hi and b - a <= Fraction(1, 10**15)
+        assert sharp.rep_pair == rec.rep_pair
+    assert coarse[0].root_interval[1] <= fine[1].root_interval[0]
 
 
 def residual_ratio(fam, d_value, x_value, vec):
@@ -235,10 +209,8 @@ def test_kernel_vector_rejects_non_root():
 
 def test_kernel_vector_refined_root_and_two_sided_agreement():
     d = Fraction(1, 4)
-    for rec in find_crossings(2, 1, d, Fraction(1, 4)):
-        p = constraint_poly(ConstraintFamily(2, 1), 2).specialize(d)
-        lo, hi = root_refiner(p)(rec.root_interval, Fraction(1, 10**12))
-        x = float((lo + hi) / 2)
+    for rec in find_crossings(2, 1, d, Fraction(1, 10**12)):
+        x = float(rec.x_root)
         fam = ConstraintFamily(2, 1)
         assert residual_ratio(fam, d, x, kernel_vector(fam, d, x)) < 1e-8
 
@@ -377,7 +349,10 @@ def test_reflection_eps_to_minus_eps_in_the_constraint_layer():
                         == [r.root_interval for r in want]), (N, ell, d)
                 for a, b in zip(got, want):
                     assert abs(a.lambda_ - b.lambda_) <= 1e-14, (N, ell, d)
+                    assert a.rep_pair == b.rep_pair, (N, ell, d)
                 roots += len(want)
+            # level ell at -ell has no crossing
+            assert find_crossings(ell, -ell, Fraction(N, 3), PREC) == []
     assert roots > 900
 
 

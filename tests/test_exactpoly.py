@@ -13,7 +13,6 @@ from aqrm.exactpoly import (
     _root_bound,
     isolate_positive_roots,
     poly_div_x,
-    root_refiner,
     to_fraction,
 )
 
@@ -295,8 +294,9 @@ def test_isolation_matches_sympy_count():
 
 def test_refine_isolated_shrinks():
     p = UniPoly([-2, 0, 1])  # t^2 - 2
-    ivs = isolate_positive_roots(p, Fraction(1, 4))
-    lo, hi = root_refiner(p)(ivs[0], Fraction(1, 10**15))
+    (coarse,) = isolate_positive_roots(p, Fraction(1, 4))
+    ((lo, hi),) = isolate_positive_roots(p, Fraction(1, 10**15))
+    assert coarse[0] <= lo < hi <= coarse[1]
     assert hi - lo <= Fraction(1, 10**15)
     assert p(lo) * p(hi) <= 0
 
@@ -388,14 +388,17 @@ def test_isolation_edge_cases_follow_plain_bisection():
     check(UniPoly([-1, 1]), PREC, [(1, 1)])
     # (t - 303/1024)(t^2 + 100): 2^e = 8 and the root is 303/8192 of the
     # one-root cell (0, 8], a midpoint that halving meets, so the interval
-    # collapses onto it; a root at hi keeps (..., hi]
+    # collapses onto it
     root = Fraction(303, 1024)
     p = UniPoly([-root, 1]) * UniPoly([100, 0, 1])
     check(p, PREC, [(root, root)])
-    refine = root_refiner(p)
-    assert refine((0, 1), PREC) == (root, root)
-    assert refine((0, root), PREC) == (
-        Fraction(166576011607761, 562949953421312), root)
+    # a width that bisection can never reach is refused, not looped on, and
+    # the zero polynomial has no roots to isolate
+    for precision in (0, Fraction(-1, 10)):
+        with pytest.raises(ValueError, match="precision must be positive"):
+            isolate_positive_roots(UniPoly([-2, 0, 1]), precision)
+    with pytest.raises(ValueError, match="zero polynomial"):
+        isolate_positive_roots(UniPoly([]), PREC)
 
 
 @pytest.mark.parametrize("two_eps", (-2, 0, 1, 3))
@@ -405,26 +408,3 @@ def test_isolation_contract_on_constraint_polynomials(N, two_eps):
         p = constraint_poly_at(ConstraintFamily(N, two_eps), N, d)
         for precision in (PREC, Fraction(1, 1000)):
             assert_contract(p, isolate_positive_roots(p, precision), precision)
-
-
-def test_refine_isolated_half_open_contract():
-    p = UniPoly([3, -4, 1])  # (t-1)(t-3)
-    refine = root_refiner(p)
-    # a root at hi lies in (lo, hi]; a root at lo does not
-    assert refine((0, 1), Fraction(1, 1000)) == (Fraction(1023, 1024), 1)
-    assert refine((1, 3), Fraction(1, 1000)) == (Fraction(3071, 1024), 3)
-    for interval in ((0, 4), (1, 2), (3, 4), (3, 1)):
-        with pytest.raises(ValueError):
-            refine(interval, Fraction(1, 1000))
-    # a degenerate interval is accepted only at an exact root
-    assert refine((3, 3), Fraction(1, 1000)) == (3, 3)
-    q = UniPoly([-2, 0, 1])  # t^2 - 2
-    for poly, interval in ((q, (5, 5)), (q, (5, 6)), (UniPoly([]), (0, 0))):
-        with pytest.raises(ValueError):
-            root_refiner(poly)(interval, Fraction(1, 10))
-    # a width that bisection can never reach is refused, not looped on
-    for precision in (0, Fraction(-1, 10)):
-        with pytest.raises(ValueError):
-            root_refiner(q)((1, 2), precision)
-    # a midpoint that is the root collapses the interval onto it
-    assert refine((0, 2), Fraction(1, 1000)) == (1, 1)

@@ -15,7 +15,7 @@ from aqrm.constraint import (
     tridiag_matrix,
 )
 from aqrm import sl2rep
-from aqrm.exactpoly import UniPoly, root_refiner
+from aqrm.exactpoly import UniPoly
 from aqrm.spectrum import kernel_vector
 from aqrm.sl2rep import (
     GENERATORS,
@@ -292,10 +292,7 @@ def test_block_matches_tridiagonal_sampled():
 
 def test_block_kernel_matches_constraint_kernel():
     d = Fraction(1, 4)
-    rec = find_crossings(2, 1, d, Fraction(1, 4))[0]
-    p = constraint_poly(ConstraintFamily(2, 1), 2).specialize(d)
-    lo, hi = root_refiner(p)(rec.root_interval, Fraction(1, 10**14))
-    x = (lo + hi) / 2
+    x = find_crossings(2, 1, d, Fraction(1, 10**14))[0].x_root
     v = np.asarray(kernel_vector(ConstraintFamily(2, 1), d, float(x)))
     block = k_block_minus_lambda(2, 1, PLAIN, x / 4, d)
     m = np.array([[float(e) for e in row] for row in block])

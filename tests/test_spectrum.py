@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -426,6 +427,90 @@ def test_confirm_batch_matches_one_record_calls(monkeypatch):
             window_miss(records[5].lambda_, 0, max(floor, 33)),
             f"truncation n_max={max(floor, 58)} too small at "
             f"lambda={forced.lambda_}"]
+
+
+def test_confirm_at_any_precision_equals_confirm_at_refine_width():
+    # a record wider than REFINE_WIDTH is confirmed as the record that
+    # find_crossings at REFINE_WIDTH gives inside it, so the observations do
+    # not depend on the precision the records were isolated at. Window k of
+    # d is (k (k + 2 eps), (k + 1) (k + 1 + 2 eps)), with N - k roots; two d
+    # in every window for N <= 6, in the middle and top one above, and in
+    # the lowest one at N = 12.
+    # A record that fails fails with the same message at every precision
+    # (one does here: at N = 5, 2 eps = -2, d = 19/3 the pair solve of its
+    # second root leaves a residual above CONV_TOL)
+    def outcome(obs):
+        return str(obs) if isinstance(obs, ValueError) else obs
+
+    cases = [(N, two_eps, k) for N in range(1, 7) for two_eps in range(-2, 4)
+             for k in range(max(0, -two_eps), N)]
+    cases += [(N, two_eps, k) for N in (12, 20, 40)
+              for two_eps in range(-2, 4)
+              for k in sorted({max(0, -two_eps) if N == 12 else N // 2,
+                               N // 2, N - 1})]
+    roots = confirmed = 0
+    for N, two_eps, k in cases:
+        lo, hi = k * (k + two_eps), (k + 1) * (k + 1 + two_eps)
+        for d in (lo + Fraction(hi - lo, 3), lo + Fraction(2 * (hi - lo), 3)):
+            want = [outcome(obs) for obs in confirm_crossings(
+                find_crossings(N, two_eps, d, confirm.REFINE_WIDTH))]
+            assert len(want) == N - k, (N, two_eps, d)
+            for precision in (Fraction(1, 2), Fraction(1, 1000),
+                              Fraction(1, 10**6)):
+                got = confirm_crossings(find_crossings(N, two_eps, d,
+                                                       precision))
+                assert [outcome(obs) for obs in got] == want, (
+                    N, two_eps, d, precision)
+            roots += len(want)
+            confirmed += sum(isinstance(obs, CrossingObservation)
+                             for obs in want)
+    assert roots == 1164 and confirmed >= roots - 1
+
+
+def test_confirm_isolates_each_polynomial_once(monkeypatch):
+    # records of two polynomials, interleaved and wider than REFINE_WIDTH:
+    # one confirm_crossings call isolates each polynomial once at
+    # REFINE_WIDTH, and every record comes out as a call of its own gives
+    # it; records at most REFINE_WIDTH wide isolate nothing
+    recs = (find_crossings(12, 1, Fraction(7, 3), Fraction(1, 100))
+            + find_crossings(9, 0, Fraction(5, 2), Fraction(1, 100)))
+    recs = recs[::2] + recs[1::2]
+    want = [confirm_crossings([rec])[0] for rec in recs]
+    isolated = []
+    real = confirm.find_crossings
+
+    def counted(N, two_eps, d_value, precision):
+        isolated.append((N, two_eps, d_value, precision))
+        return real(N, two_eps, d_value, precision)
+
+    monkeypatch.setattr(confirm, "find_crossings", counted)
+    assert confirm_crossings(recs) == want
+    assert sorted(isolated) == [(9, 0, Fraction(5, 2), confirm.REFINE_WIDTH),
+                                (12, 1, Fraction(7, 3), confirm.REFINE_WIDTH)]
+    isolated.clear()
+    assert all(isinstance(obs, CrossingObservation) for obs in
+               confirm_crossings(find_crossings(9, 0, Fraction(5, 2), PREC)))
+    assert isolated == []
+
+
+def test_confirm_rejects_a_wide_record_without_one_root():
+    # a record wider than REFINE_WIDTH must hold exactly one of the roots
+    # isolated at REFINE_WIDTH, and cut none of their intervals: one that
+    # spans two roots, holds none, or ends inside a fine interval fails, and
+    # the records around it are confirmed
+    d = Fraction(1, 3)
+    records = find_crossings(6, 0, d, Fraction(1, 100))
+    fine = find_crossings(6, 0, d, confirm.REFINE_WIDTH)
+    assert len(records) == len(fine) >= 2
+    (lo, _), (_, hi) = records[0].root_interval, records[1].root_interval
+    top = records[-1].root_interval[1]
+    a, b = fine[1].root_interval
+    bad = [dataclasses.replace(records[0], root_interval=interval)
+           for interval in ((lo, hi), (top, top + 1), (lo, (a + b) / 2))]
+    batch = confirm_crossings([records[0], *bad, records[1]])
+    assert [str(err) for err in batch[1:4]] == [
+        "interval does not isolate exactly one root"] * 3
+    assert [batch[0], batch[4]] == confirm_crossings(fine[:2])
 
 
 def test_confirm_matches_dense_oracle():
