@@ -6,23 +6,20 @@ subcommand emitting machine-readable output (JSON or CSV). Exit codes:
 accept "p/q" strings so exact code paths never round. Only sweep, which
 diagonalizes, loads numpy; crossings --confirm counts and solves on the
 block-tridiagonal Hamiltonian in Python floats, so its output does not
-depend on the BLAS thread count. Only these two read AQRM_NMAX, the default
-Fock cutoff when --n-max is not given.
+depend on the BLAS thread count. These two take the Fock cutoff from
+--n-max, else confirm.DEFAULT_NMAX.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
-import os
 import random
 import sys
 from fractions import Fraction
 
 from . import confirm, constraint, gfunction, heun, sl2rep
 from .exactpoly import isolate_positive_roots, to_fraction
-
-DEFAULT_PRECISION = Fraction(1, 10**12)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -39,22 +36,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _n_max(args) -> int:
-    """Fock cutoff: --n-max, else AQRM_NMAX, else confirm.DEFAULT_NMAX.
+    """Fock cutoff: --n-max, else confirm.DEFAULT_NMAX.
 
     Checked here, before any work is done, so a cutoff below 1 is a usage
     error for sweep and crossings --confirm alike.
     """
-    n_max = args.n_max
-    if n_max is None:
-        raw = os.environ.get("AQRM_NMAX")
-        if raw is None:
-            return confirm.DEFAULT_NMAX
-        try:
-            n_max = int(raw)
-        except ValueError:
-            raise ValueError(f"AQRM_NMAX must be an integer, got {raw!r}") from None
-        if n_max < 1:
-            raise ValueError(f"AQRM_NMAX must be >= 1, got {raw!r}")
+    n_max = confirm.DEFAULT_NMAX if args.n_max is None else args.n_max
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     return n_max
@@ -315,8 +302,8 @@ def _add_common(sub, default_format: str, formats=("json", "csv")):
 def build_parser() -> _Parser:
     """The command-line parser, built once per process.
 
-    Parsing leaves it unchanged (every default is immutable and AQRM_NMAX
-    is read by the handlers), and building it costs about 1.7 ms per call.
+    Parsing leaves it unchanged (every default is immutable), and building
+    it costs about 1.7 ms per call.
     """
     parser = _Parser(prog="aqrm", description=__doc__)
     subs = parser.add_subparsers(dest="subcommand", required=True)
@@ -338,7 +325,8 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--d", type=to_fraction, required=True,
                    metavar="P/Q", help="value of d = Delta^2")
-    p.add_argument("--precision", type=to_fraction, default=DEFAULT_PRECISION)
+    p.add_argument("--precision", type=to_fraction,
+                   default=constraint.DEFAULT_PRECISION)
     _add_common(p, "json")
     p.set_defaults(handler=_cmd_roots)
 
@@ -348,7 +336,8 @@ def build_parser() -> _Parser:
     p.add_argument("--two-eps", type=int, default=0)
     p.add_argument("--delta2", type=to_fraction, required=True,
                    metavar="P/Q", help="value of d = Delta^2")
-    p.add_argument("--precision", type=to_fraction, default=DEFAULT_PRECISION)
+    p.add_argument("--precision", type=to_fraction,
+                   default=constraint.DEFAULT_PRECISION)
     p.add_argument("--confirm", action="store_true",
                    help="check each crossing against diagonalization")
     p.add_argument("--n-max", type=int, default=None)

@@ -15,10 +15,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 
-from .constraint import CrossingRecord, find_crossings
+from .constraint import DEFAULT_PRECISION, CrossingRecord, find_crossings
 
 DEFAULT_NMAX = 60
 
@@ -29,12 +28,6 @@ CONV_TOL = 1e-9
 
 #: a level pair closer than this counts as a degeneracy
 DEGENERACY_TOL = 1e-7
-#: confirm_crossings first re-isolates a record wider in x than REFINE_WIDTH,
-#: DEGENERACY_TOL times CONFIRM_WIDTH; the level gap grows about linearly
-#: with the width (about 1 per unit of x at N=12), and records at the CLI
-#: default width 1e-12 are never refined
-CONFIRM_WIDTH = Fraction(1, 1000)
-REFINE_WIDTH = Fraction(DEGENERACY_TOL) * CONFIRM_WIDTH
 #: the residual ||H Y - Y Theta|| above which the pair solve corrects its
 #: basis once; confirm_crossings accepts a pair whose residual is at most
 #: CONV_TOL, since by Kahan's bound each level then lies as close to an
@@ -220,21 +213,21 @@ def _pair_levels(g: float, delta: float, eps: float, n_max: int,
 
 
 def _refined(record: CrossingRecord, fine: dict) -> CrossingRecord:
-    """The record of the root in record's (lo, hi], isolated to REFINE_WIDTH;
-    record itself when it is at most REFINE_WIDTH wide.
+    """The record of the root in record's (lo, hi], isolated to
+    DEFAULT_PRECISION; record itself when it is at most that wide.
 
-    fine maps (N, 2 eps, d) to find_crossings at REFINE_WIDTH, filled as
+    fine maps (N, 2 eps, d) to find_crossings at DEFAULT_PRECISION, filled as
     records need it. Isolation bisects the same tree at every precision, so
     each interval a coarser find_crossings gives holds exactly one of
     these; an interval that holds none or several, or ends inside one of
     them, raises ValueError.
     """
     lo, hi = record.root_interval
-    if hi - lo <= REFINE_WIDTH:
+    if hi - lo <= DEFAULT_PRECISION:
         return record
     key = (record.N, record.two_eps, record.d_value)
     if key not in fine:
-        fine[key] = find_crossings(*key, REFINE_WIDTH)
+        fine[key] = find_crossings(*key, DEFAULT_PRECISION)
     inside = [rec for rec in fine[key] if lo < rec.root_interval[1] <= hi]
     if len(inside) != 1 or any(a < end < b for a, b in (
             rec.root_interval for rec in fine[key]) for end in (lo, hi)):
@@ -290,8 +283,9 @@ def confirm_crossings(records, n_max: int = DEFAULT_NMAX
     root of the constraint polynomial; the truncated spectrum must hold
     exactly two eigenvalues within DEGENERACY_TOL of that target, and they
     must lie within DEGENERACY_TOL of each other. A record wider than
-    REFINE_WIDTH is replaced first by the one record of find_crossings at
-    REFINE_WIDTH inside it, isolated once per (N, 2 eps, d). At
+    DEFAULT_PRECISION is replaced first by the one record of find_crossings
+    at DEFAULT_PRECISION inside it, isolated once per (N, 2 eps, d), so a
+    record is confirmed alike at every precision it was isolated at. At
     n = max(n_max, ceil(2.5 (lambda + 2 g^2) + 20)) two counts at
     lambda +- DEGENERACY_TOL give the number of levels in the window and,
     when it is two, their indices k and k + 1; a window with any other

@@ -24,6 +24,10 @@ from .exactpoly import (BivarPoly, UniPoly, isolate_positive_roots,
 PLAIN = "plain"
 TILDE = "tilde"
 
+#: the width in x to which crossings are isolated unless asked otherwise, and
+#: to which confirm_crossings re-isolates a wider record
+DEFAULT_PRECISION = Fraction(1, 10**12)
+
 #: the positivity samples (x, d) of verify_conjecture, all with x > 0
 DEFAULT_GRID: tuple[tuple[Fraction, Fraction], ...] = tuple(
     (xv, dv)

@@ -69,6 +69,26 @@ def test_coarse_crossings_confirm(capsys):
     assert all(row["gap"] < 1e-7 for row in rows)
 
 
+def test_coarse_confirm_reports_the_default_precision_observation(capsys):
+    # a coarse record is confirmed as the record the default precision
+    # gives, so gap and lambda_observed do not depend on --precision; the
+    # second root here needs that width, since its pair solve on a record
+    # 1e-10 wide leaves a residual of 4.7e-09, above CONV_TOL
+    argv = ("crossings", "--N", "5", "--two-eps", "-2", "--delta2", "19/3",
+            "--confirm")
+
+    def observed(*extra):
+        code, out = run(capsys, *argv, *extra)
+        assert code == 0, extra
+        return [(row["gap"], row["lambda_observed"])
+                for row in map(json.loads, out.splitlines())]
+
+    want = observed()
+    assert len(want) == 2
+    for precision in ("1/2", "1/1000", "1/10000000000"):
+        assert observed("--precision", precision) == want
+
+
 @pytest.mark.parametrize("k", [0, 1, 3])
 def test_roots_csv_counts_window_roots(capsys, k):
     # d inside window k, k^2 + k*two_eps < d < (k+1)^2 + (k+1)*two_eps,
@@ -438,22 +458,6 @@ def test_byte_identical_reruns(tmp_path, capsys):
     assert sweep1.read_bytes() == sweep2.read_bytes()
 
 
-def test_nmax_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("AQRM_NMAX", "40")
-    code, out = run(capsys, "crossings", "--N", "1", "--two-eps", "0",
-                    "--delta2", "1/2", "--confirm")
-    assert code == 0
-    assert json.loads(out.strip())["gap"] < 1e-7
-
-
-def test_nmax_env_ignored_without_diagonalization(capsys, monkeypatch):
-    # plain crossings never diagonalizes, so it never reads AQRM_NMAX
-    monkeypatch.setenv("AQRM_NMAX", "abc")
-    code, out = run(capsys, "crossings", "--N", "2", "--delta2", "1/2")
-    assert code == 0
-    assert len(out.strip().split("\n")) == 2
-
-
 def test_nmax_without_confirm_is_usage_error(capsys):
     # only --confirm reads the cutoff; without it --n-max would be ignored
     for n_max in ("0", "60"):
@@ -470,16 +474,14 @@ def test_nmax_without_confirm_is_usage_error(capsys):
     ("sweep", "--delta", "0.5", "--g-min", "0.1", "--g-max", "0.3",
      "--steps", "3"),
 ])
-def test_malformed_nmax_env_is_usage_error(capsys, monkeypatch, argv):
-    for raw, message in (("abc", "AQRM_NMAX must be an integer"),
-                         ("0", "AQRM_NMAX must be >= 1, got '0'")):
+def test_nmax_environment_variable_is_not_read(capsys, monkeypatch, argv):
+    # the Fock cutoff comes from --n-max, else the default: AQRM_NMAX, set
+    # to anything, changes neither the output nor the exit code
+    monkeypatch.delenv("AQRM_NMAX", raising=False)
+    want = main(list(argv)), capsys.readouterr()
+    for raw in ("abc", "0", "200"):
         monkeypatch.setenv("AQRM_NMAX", raw)
-        code = main(list(argv))
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err.startswith(f"aqrm {argv[0]}: {message}")
-        assert captured.err.count("\n") == 1
+        assert (main(list(argv)), capsys.readouterr()) == want, raw
 
 
 def test_every_exported_name_resolves():
@@ -540,7 +542,6 @@ def test_exact_subcommands_do_not_load_numpy():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
-    env.pop("AQRM_NMAX", None)
     child = subprocess.run(
         [sys.executable, "-c", _FRESH_EXACT_RUN, json.dumps(EXACT_ONLY)],
         env=env, capture_output=True, text=True, timeout=120)

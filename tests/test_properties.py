@@ -3,10 +3,8 @@ from fractions import Fraction
 
 from hypothesis import Phase, assume, given, settings, strategies as st
 
-from aqrm.constraint import find_crossings
+from aqrm.constraint import DEFAULT_PRECISION, find_crossings
 from aqrm.confirm import confirm_crossings
-
-PREC = Fraction(1, 10**12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -16,11 +14,30 @@ PREC = Fraction(1, 10**12)
 def test_every_exact_crossing_is_a_numerical_degeneracy(N, two_eps, d):
     # every isolated root of P_N is a level crossing of the truncated
     # spectrum, at lambda = N - g^2 + eps
-    records = find_crossings(N, two_eps, d, PREC)
+    records = find_crossings(N, two_eps, d, DEFAULT_PRECISION)
     for rec, obs in zip(records, confirm_crossings(records)):
         assert not isinstance(obs, ValueError), obs
         assert obs.gap < 1e-7
         assert abs(obs.lambda_star - rec.lambda_) < 1e-7
+
+
+@settings(max_examples=25, deadline=None)
+@given(N=st.integers(1, 12), two_eps=st.integers(-3, 3),
+       d=st.fractions(min_value=Fraction(1, 1000), max_value=100,
+                      max_denominator=1000),
+       precision=st.sampled_from((Fraction(1, 2), Fraction(1, 1000),
+                                  Fraction(1, 10**6))))
+def test_coarse_records_confirm_as_default_precision_records(N, two_eps, d,
+                                                             precision):
+    # a record wider than DEFAULT_PRECISION is re-isolated at it before it
+    # is confirmed, so coarse records give the same observations, or the
+    # same failures, as records isolated at DEFAULT_PRECISION
+    def outcomes(records):
+        return [str(obs) if isinstance(obs, ValueError) else obs
+                for obs in confirm_crossings(records)]
+
+    assert (outcomes(find_crossings(N, two_eps, d, precision))
+            == outcomes(find_crossings(N, two_eps, d, DEFAULT_PRECISION)))
 
 
 def sign_changes(N: int, two_eps: int, d: Fraction, x: Fraction) -> int:

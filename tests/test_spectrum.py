@@ -9,7 +9,7 @@ import pytest
 from aqrm import confirm, spectrum
 from aqrm.cli import main
 from aqrm.confirm import CrossingObservation, confirm_crossings
-from aqrm.constraint import CrossingRecord, find_crossings
+from aqrm.constraint import DEFAULT_PRECISION, CrossingRecord, find_crossings
 from aqrm.gfunction import find_exceptional
 from aqrm.spectrum import ModelParams, _converged, build_hamiltonian, sweep
 
@@ -337,11 +337,12 @@ def test_confirm_failure_names_its_cause(monkeypatch, capsys):
 
 
 def _perturbed(rec: CrossingRecord) -> CrossingRecord:
-    """The record with x scaled by (1.05)^2, so that g moves by 5%."""
+    """The record with x scaled by (1.05)^2, so that g moves by 5%, and its
+    width kept."""
     lo, hi = rec.root_interval
     factor = Fraction(441, 400)
     return CrossingRecord(N=rec.N, two_eps=rec.two_eps, d_value=rec.d_value,
-                          root_interval=(lo * factor, hi * factor),
+                          root_interval=(lo * factor, lo * factor + hi - lo),
                           rep_pair=rec.rep_pair)
 
 
@@ -429,19 +430,15 @@ def test_confirm_batch_matches_one_record_calls(monkeypatch):
             f"lambda={forced.lambda_}"]
 
 
-def test_confirm_at_any_precision_equals_confirm_at_refine_width():
-    # a record wider than REFINE_WIDTH is confirmed as the record that
-    # find_crossings at REFINE_WIDTH gives inside it, so the observations do
-    # not depend on the precision the records were isolated at. Window k of
-    # d is (k (k + 2 eps), (k + 1) (k + 1 + 2 eps)), with N - k roots; two d
-    # in every window for N <= 6, in the middle and top one above, and in
-    # the lowest one at N = 12.
-    # A record that fails fails with the same message at every precision
-    # (one does here: at N = 5, 2 eps = -2, d = 19/3 the pair solve of its
-    # second root leaves a residual above CONV_TOL)
-    def outcome(obs):
-        return str(obs) if isinstance(obs, ValueError) else obs
-
+def test_confirm_at_any_precision_equals_confirm_at_default_precision():
+    # a record wider than DEFAULT_PRECISION is confirmed as the record that
+    # find_crossings at DEFAULT_PRECISION gives inside it, so the
+    # observations do not depend on the precision the records were isolated
+    # at. Window k of d is (k (k + 2 eps), (k + 1) (k + 1 + 2 eps)), with
+    # N - k roots; two d in every window for N <= 6, in the middle and top
+    # one above, and in the lowest one at N = 12. Every root is confirmed,
+    # at N = 5, 2 eps = -2, d = 19/3 too, whose second root fails its pair
+    # solve on a record 1e-10 wide
     cases = [(N, two_eps, k) for N in range(1, 7) for two_eps in range(-2, 4)
              for k in range(max(0, -two_eps), N)]
     cases += [(N, two_eps, k) for N in (12, 20, 40)
@@ -452,26 +449,25 @@ def test_confirm_at_any_precision_equals_confirm_at_refine_width():
     for N, two_eps, k in cases:
         lo, hi = k * (k + two_eps), (k + 1) * (k + 1 + two_eps)
         for d in (lo + Fraction(hi - lo, 3), lo + Fraction(2 * (hi - lo), 3)):
-            want = [outcome(obs) for obs in confirm_crossings(
-                find_crossings(N, two_eps, d, confirm.REFINE_WIDTH))]
+            want = confirm_crossings(find_crossings(N, two_eps, d,
+                                                    DEFAULT_PRECISION))
             assert len(want) == N - k, (N, two_eps, d)
             for precision in (Fraction(1, 2), Fraction(1, 1000),
                               Fraction(1, 10**6)):
                 got = confirm_crossings(find_crossings(N, two_eps, d,
                                                        precision))
-                assert [outcome(obs) for obs in got] == want, (
-                    N, two_eps, d, precision)
+                assert got == want, (N, two_eps, d, precision)
             roots += len(want)
             confirmed += sum(isinstance(obs, CrossingObservation)
                              for obs in want)
-    assert roots == 1164 and confirmed >= roots - 1
+    assert roots == 1164 and confirmed == roots
 
 
 def test_confirm_isolates_each_polynomial_once(monkeypatch):
-    # records of two polynomials, interleaved and wider than REFINE_WIDTH:
-    # one confirm_crossings call isolates each polynomial once at
-    # REFINE_WIDTH, and every record comes out as a call of its own gives
-    # it; records at most REFINE_WIDTH wide isolate nothing
+    # records of two polynomials, interleaved and wider than
+    # DEFAULT_PRECISION: one confirm_crossings call isolates each polynomial
+    # once at DEFAULT_PRECISION, and every record comes out as a call of its
+    # own gives it; records at most DEFAULT_PRECISION wide isolate nothing
     recs = (find_crossings(12, 1, Fraction(7, 3), Fraction(1, 100))
             + find_crossings(9, 0, Fraction(5, 2), Fraction(1, 100)))
     recs = recs[::2] + recs[1::2]
@@ -485,8 +481,8 @@ def test_confirm_isolates_each_polynomial_once(monkeypatch):
 
     monkeypatch.setattr(confirm, "find_crossings", counted)
     assert confirm_crossings(recs) == want
-    assert sorted(isolated) == [(9, 0, Fraction(5, 2), confirm.REFINE_WIDTH),
-                                (12, 1, Fraction(7, 3), confirm.REFINE_WIDTH)]
+    assert sorted(isolated) == [(9, 0, Fraction(5, 2), DEFAULT_PRECISION),
+                                (12, 1, Fraction(7, 3), DEFAULT_PRECISION)]
     isolated.clear()
     assert all(isinstance(obs, CrossingObservation) for obs in
                confirm_crossings(find_crossings(9, 0, Fraction(5, 2), PREC)))
@@ -494,13 +490,13 @@ def test_confirm_isolates_each_polynomial_once(monkeypatch):
 
 
 def test_confirm_rejects_a_wide_record_without_one_root():
-    # a record wider than REFINE_WIDTH must hold exactly one of the roots
-    # isolated at REFINE_WIDTH, and cut none of their intervals: one that
-    # spans two roots, holds none, or ends inside a fine interval fails, and
-    # the records around it are confirmed
+    # a record wider than DEFAULT_PRECISION must hold exactly one of the
+    # roots isolated at DEFAULT_PRECISION, and cut none of their intervals:
+    # one that spans two roots, holds none, or ends inside a fine interval
+    # fails, and the records around it are confirmed
     d = Fraction(1, 3)
     records = find_crossings(6, 0, d, Fraction(1, 100))
-    fine = find_crossings(6, 0, d, confirm.REFINE_WIDTH)
+    fine = find_crossings(6, 0, d, DEFAULT_PRECISION)
     assert len(records) == len(fine) >= 2
     (lo, _), (_, hi) = records[0].root_interval, records[1].root_interval
     top = records[-1].root_interval[1]
